@@ -2,15 +2,16 @@
 
 Everything downstream consumes these scalars: Bernoulli numbers, divisor
 power sums, Jacobi totients, the Moebius function and Dirichlet
-convolution.  All values are exact ``fractions.Fraction`` instances (or
-plain ints); no floating point is used anywhere in the package.
+convolution.  Integral quantities are Python ``int``s (sigma_k for k >= 0,
+Jacobi totients, Moebius values); genuinely rational ones (Bernoulli
+numbers, sigma_k for k < 0) are ``fractions.Fraction``s.  No floating point
+is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Callable, Tuple
 
 # The universal scalar type.  Fractions are always stored in lowest terms
@@ -104,16 +105,38 @@ def bernoulli(n: int) -> Fraction:
 
     Convention fixed by the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 with
     B_0 = 1, which gives B_1 = -1/2.  Only even indices matter downstream,
-    and those are convention independent.
+    and those are convention independent.  Even indices come from the
+    tangent numbers T_m (Brent and Harvey, "Fast computation of Bernoulli,
+    Tangent and Secant numbers", 2011) as
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), all on int until the last
+    division.
     """
     if n < 0:
         raise ValueError(f"bernoulli requires n >= 0, got {n}")
     if n == 0:
         return Fraction(1)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += comb(n + 1, k) * bernoulli(k)
-    return -acc / (n + 1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    m = n // 2
+    four_m = 4**m
+    value = Fraction(n * _tangent_number(m), four_m * (four_m - 1))
+    return value if m % 2 else -value
+
+
+def _tangent_number(m: int) -> int:
+    """Tangent number T_m, the coefficient of x^(2m-1)/(2m-1)! in tan x.
+
+    Brent-Harvey in-place recurrence: O(m^2) operations on ints.
+    """
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[m]
 
 
 def abs_bernoulli(n: int) -> Fraction:
@@ -122,25 +145,38 @@ def abs_bernoulli(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def sigma(k: int, n: int) -> Fraction:
-    """Divisor power sum sigma_k(n) = sum_{m | n} m^k, exact for any integer k."""
+def sigma(k: int, n: int) -> int | Fraction:
+    """Divisor power sum sigma_k(n) = sum_{m | n} m^k, exact for any integer k.
+
+    An int for k >= 0, from the multiplicative closed form
+    prod_{p^e || n} (p^(k(e+1)) - 1) / (p^k - 1); for k < 0 the Fraction
+    sigma_{-k}(n) / n^(-k).
+    """
     if n < 1:
         raise ValueError(f"sigma requires n >= 1, got {n}")
-    return sum((Fraction(d) ** k for d in divisors(n)), Fraction(0))
+    if k < 0:
+        return Fraction(sigma(-k, n), n ** -k)
+    value = 1
+    for p, e in factorize(n).factors:
+        if k == 0:
+            value *= e + 1
+        else:
+            pk = p**k
+            value *= (pk ** (e + 1) - 1) // (pk - 1)
+    return value
 
 
 @lru_cache(maxsize=None)
-def jacobi_totient(k: int, n: int) -> Fraction:
+def jacobi_totient(k: int, n: int) -> int:
     """Jacobi totient J_k(n) = n^k prod_{p | n} (1 - p^{-k}).
 
-    Always an integer for k >= 1; asserted here.
+    An int for k >= 1, computed as prod_{p^e || n} p^(k(e-1)) (p^k - 1).
     """
     if n < 1 or k < 1:
         raise ValueError(f"jacobi_totient requires n >= 1 and k >= 1, got ({k}, {n})")
-    value = Fraction(n) ** k
-    for p in factorize(n).primes():
-        value *= 1 - Fraction(p) ** (-k)
-    assert value.denominator == 1, (k, n, value)
+    value = 1
+    for p, e in factorize(n).factors:
+        value *= p ** (k * (e - 1)) * (p**k - 1)
     return value
 
 
@@ -154,8 +190,8 @@ def mobius(n: int) -> int:
     return -1 if len(factors) % 2 else 1
 
 
-def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction, n: int) -> Fraction:
-    """(f * g)(n) = sum_{m | n} f(m) g(n/m)."""
+def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction, n: int) -> int | Fraction:
+    """(f * g)(n) = sum_{m | n} f(m) g(n/m); an int when f and g give ints."""
     if n < 1:
         raise ValueError(f"dirichlet_convolve requires n >= 1, got {n}")
-    return sum((Fraction(f(m)) * Fraction(g(n // m)) for m in divisors(n)), Fraction(0))
+    return sum(f(m) * g(n // m) for m in divisors(n))

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fractions.  Just enough Gaussian
+Matrices are lists of lists of ints and Fractions.  Just enough Gaussian
 elimination for the ring oracle, pairing matrices and the triangular
-basis-change transforms; nothing here is numerical.
+basis-change transforms; nothing here is numerical.  Integer matrices stay
+on int until a pivot other than 1 forces a Fraction, so a unit-triangular
+integer matrix inverts entirely on int.
 """
 
 from __future__ import annotations
@@ -10,18 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
-Matrix = List[List[Fraction]]
+Matrix = List[List["int | Fraction"]]
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0])
     assert all(len(r) == inner for r in a)
     return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
 
@@ -41,8 +43,9 @@ def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        if m[r][c] != 1:
+            inv = Fraction(1, m[r][c])
+            m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 factor = m[i][c]

@@ -275,10 +275,10 @@ def taut_nl_pair_special(g: int, d1: int, d2: int) -> TautClass:
 def tilde_to_plain(g: int, D: int) -> Matrix:
     """Basis change expressing each tilde cycle as a divisor sum of plain
     cycles, d in [1, D]: M[d, dhat] = sigma_1(d / dhat) when dhat | d,
-    else 0.  Unit diagonal, lower triangular."""
+    else 0.  Unit diagonal, lower triangular, int entries."""
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    matrix = [[Fraction(0)] * D for _ in range(D)]
+    matrix = [[0] * D for _ in range(D)]
     for d in range(1, D + 1):
         for dhat in divisors(d):
             matrix[d - 1][dhat - 1] = sigma(1, d // dhat)

@@ -171,16 +171,19 @@ def check_eisenstein_identity() -> str:
                 scale * series.coefficient(d),
                 nl.taut_nl_tilde(g, d).coefficient((g - 1,)),
             )
+    # d (sigma_{-1} * J_{2g-2})(d) = sigma_{2g-1}(d), evaluated on int: the
+    # convolution is equal term by term to (sigma_1 * n J_{2g-2}(n))(d),
+    # because d sigma_{-1}(m) J(d/m) = sigma_1(m) (d/m) J(d/m).
     checked = 0
     for g in range(2, 11):
         k = 2 * g - 2
-        totient = lambda n, k=k: jacobi_totient(k, n)
-        inv_sum = lambda n: sigma(-1, n)
+        scaled_totient = lambda n, k=k: n * jacobi_totient(k, n)
+        div_sum = lambda n: sigma(1, n)
         for d in range(1, 10001):
             _demand(
                 suite,
                 f"convolution identity at g={g}, d={d}",
-                d * dirichlet_convolve(inv_sum, totient, d),
+                dirichlet_convolve(div_sum, scaled_totient, d),
                 sigma(2 * g - 1, d),
             )
             checked += 1

@@ -18,6 +18,29 @@ from agtaut.arith import (
 )
 
 
+# -- reference implementations the integer kernels replaced -------------------
+
+
+def bernoulli_by_recurrence(limit):
+    """B_0..B_limit from sum_{k=0}^{n} C(n+1, k) B_k = 0 on Fractions."""
+    values = [Fraction(1)]
+    for n in range(1, limit + 1):
+        values.append(-sum(comb(n + 1, k) * values[k] for k in range(n)) / (n + 1))
+    return values
+
+
+def sigma_by_divisor_sum(k, n):
+    return sum((Fraction(d) ** k for d in divisors(n)), Fraction(0))
+
+
+def jacobi_totient_by_product(k, n):
+    value = Fraction(n) ** k
+    for p in factorize(n).primes():
+        value *= 1 - Fraction(p) ** (-k)
+    assert value.denominator == 1, (k, n, value)
+    return value
+
+
 def test_bernoulli_values():
     assert bernoulli(0) == 1
     assert bernoulli(1) == Fraction(-1, 2)
@@ -35,6 +58,12 @@ def test_bernoulli_defining_recurrence():
     for n in range(1, 31):
         total = sum(comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
         assert total == 0, n
+
+
+def test_bernoulli_tangent_numbers_match_recurrence():
+    for n, expected in enumerate(bernoulli_by_recurrence(160)):
+        value = bernoulli(n)
+        assert type(value) is Fraction and value == expected, n
 
 
 def test_bernoulli_sign_pattern():
@@ -56,6 +85,15 @@ def test_sigma_values():
     assert sigma(-2, 4) == Fraction(21, 16)
 
 
+def test_sigma_matches_divisor_sum():
+    for k in range(-2, 20):
+        for n in range(1, 2001):
+            value = sigma(k, n)
+            assert value == sigma_by_divisor_sum(k, n), (k, n)
+            if k >= 0:
+                assert type(value) is int, (k, n)
+
+
 def test_jacobi_totient_values():
     assert jacobi_totient(2, 1) == 1
     assert jacobi_totient(2, 4) == 12
@@ -69,6 +107,28 @@ def test_jacobi_totient_is_moebius_convolution():
             value = jacobi_totient(k, n)
             assert value.denominator == 1
             assert value == dirichlet_convolve(lambda m, k=k: m**k, mobius, n)
+
+
+def test_jacobi_totient_matches_product_form():
+    for k in range(1, 19):
+        for n in range(1, 2001):
+            value = jacobi_totient(k, n)
+            assert type(value) is int and value == jacobi_totient_by_product(k, n), (k, n)
+
+
+def test_eisenstein_convolution_integer_form():
+    # the form the eisenstein-identity suite evaluates, against the original
+    for g in range(2, 11):
+        k = 2 * g - 2
+        for d in range(1, 301):
+            integer_form = dirichlet_convolve(
+                lambda m: sigma(1, m), lambda n, k=k: n * jacobi_totient(k, n), d
+            )
+            rational_form = d * dirichlet_convolve(
+                lambda m: sigma(-1, m), lambda n, k=k: jacobi_totient(k, n), d
+            )
+            assert type(integer_form) is int
+            assert integer_form == rational_form == sigma(2 * g - 1, d), (g, d)
 
 
 def test_mobius_values():

@@ -1,8 +1,10 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
+import agtaut
 from agtaut.cli import run
 
 
@@ -171,9 +173,14 @@ def test_output_is_deterministic():
 
 
 def test_module_entry_point():
+    # the child interpreter must import the same package as this process,
+    # which pytest may have found through its own pythonpath setting
+    package_root = os.path.dirname(os.path.dirname(agtaut.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "agtaut", "taut-nl", "--g", "2", "--delta", "2"],
         capture_output=True,
         check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.stdout == b"60 * L(1)\n"

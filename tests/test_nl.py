@@ -142,6 +142,8 @@ def test_plain_to_tilde_inverse():
     forward = tilde_to_plain(3, 6)
     backward = plain_to_tilde(3, 6)
     assert mat_mul(backward, forward) == identity(6)
+    # unit-triangular integer matrices invert without leaving int
+    assert all(type(x) is int for row in forward + backward for x in row)
 
 
 # -- Eisenstein series ---------------------------------------------------------
