@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List
+from functools import lru_cache
+from typing import Callable, Dict, List, NamedTuple
 
 from . import degrees, gw, nl, ring, verify
 
@@ -46,111 +47,168 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"malformed rational {text!r}") from exc
 
 
-def _emit_json(data: dict, out) -> None:
-    print(json.dumps(data, sort_keys=True), file=out)
+class _Command(NamedTuple):
+    help: str
+    flags: Dict[str, dict]  # extra arguments beyond --g and --json
+    handler: Callable  # parsed arguments -> result with to_json_dict() and __str__
 
 
-def _build_parser() -> _Parser:
+class _Report(NamedTuple):
+    """Result of a subcommand whose library call returns no result type."""
+
+    text: str
+    data: dict
+
+    def __str__(self) -> str:
+        return self.text
+
+    def to_json_dict(self) -> dict:
+        return self.data
+
+
+def _ring_reduce(args):
+    try:
+        indices = [int(x) for x in args.indices.split(",") if x.strip()]
+    except ValueError as exc:
+        raise UsageError(f"malformed index list {args.indices!r}") from exc
+    return ring.reduce(ring.LambdaPolynomial.monomial(args.g, indices))
+
+
+def _deg_phi(args):
+    delta = _parse_delta(args.delta)
+    if args.route == degrees.ROUTE_CLOSED:
+        return degrees.deg_phi(args.g, delta)
+    if args.route == degrees.ROUTE_STRATIFIED:
+        return degrees.deg_phi_crt(args.g, delta)
+    if args.g != 1 or delta.u != 1:
+        raise UsageError("enumeration route exists only for g=1 and a length-1 chain")
+    return degrees.oracle_index(delta.entries[0])
+
+
+def _sp_order(args):
+    order = degrees.sp_order(args.g, args.n)
+    return _Report(str(order), {"g": args.g, "n": args.n, "order": str(order)})
+
+
+def _gw_predict(args):
+    if args.integral is None:
+        if args.i != 1:
+            raise UsageError("without --integral only the printed i=1 case is available")
+        value = gw.gw_tau1_lambda(args.g, args.d)
+        insertion = "lambda_g*lambda_{g-2}"
+    else:
+        value = gw.conjecture_prediction(
+            args.g, args.d, args.i, _parse_rational(args.integral)
+        )
+        insertion = "supplied"
+    return gw.GWPrediction(args.g, args.d, args.i, insertion, value)
+
+
+def _diagnose(args):
+    report = degrees.nl_composition(args.g, _parse_delta(args.delta))
+    text = (
+        f"ring constant:      {report['constant']}\n"
+        f"degree composition: {report['composed']}\n"
+        f"match: {'yes' if report['match'] else 'no'}"
+    )
+    data = {
+        "constant": str(report["constant"]),
+        "composed": str(report["composed"]),
+        "match": report["match"],
+    }
+    return _Report(text, data)
+
+
+_INT = dict(type=int, required=True)
+_CHAIN = dict(type=str, required=True)
+
+# Every subcommand except `verify`, which prints per-suite lines and sets
+# the exit code itself.
+COMMANDS: Dict[str, _Command] = {
+    "taut-nl": _Command(
+        "tautological projection of a Noether-Lefschetz cycle",
+        {"--delta": dict(_CHAIN, help="comma-separated chain, e.g. 1,2,4")},
+        lambda args: nl.taut_nl(args.g, _parse_delta(args.delta)),
+    ),
+    "taut-nl-tilde": _Command(
+        "projection of the degree-d elliptic-homomorphism cycle",
+        {"--d": _INT},
+        lambda args: nl.taut_nl_tilde(args.g, args.d),
+    ),
+    "taut-product": _Command(
+        "projection of the u x (g-u) product cycle",
+        {"--u": _INT},
+        lambda args: nl.taut_product_cycle(args.g, args.u),
+    ),
+    "eisenstein": _Command(
+        "q-expansion of the weight-2g Eisenstein series",
+        {"--order": _INT},
+        lambda args: nl.eisenstein_series(args.g, args.order),
+    ),
+    "ring-reduce": _Command(
+        "normal form of a lambda monomial (indices with repeats)",
+        {"--indices": dict(_CHAIN, help="e.g. 1,1,2 for L1^2 L2")},
+        _ring_reduce,
+    ),
+    "ring-pair": _Command(
+        "socle pairing matrix between complementary degrees",
+        {"--k": _INT},
+        lambda args: ring.pairing_matrix(args.g, args.k),
+    ),
+    "deg-phi": _Command(
+        "degree of the polarization-quotient cover",
+        {
+            "--delta": _CHAIN,
+            "--route": dict(
+                type=str,
+                default=degrees.ROUTE_CLOSED,
+                choices=[
+                    degrees.ROUTE_CLOSED,
+                    degrees.ROUTE_STRATIFIED,
+                    degrees.ROUTE_ENUMERATION,
+                ],
+            ),
+        },
+        _deg_phi,
+    ),
+    "deg-pi": _Command(
+        "degree of the level-forgetting cover",
+        {"--delta": _CHAIN},
+        lambda args: degrees.deg_pi(args.g, _parse_delta(args.delta)),
+    ),
+    "sp-order": _Command("order of the symplectic group over Z/N", {"--n": _INT}, _sp_order),
+    "gw-predict": _Command(
+        "sigma-weighted Gromov-Witten predictor",
+        {
+            "--d": _INT,
+            "--i": dict(type=int, default=1),
+            "--integral": dict(
+                type=str,
+                default=None,
+                help="Hodge/psi integral as p/q; default derives the printed case",
+            ),
+        },
+        _gw_predict,
+    ),
+    "diagnose": _Command(
+        "consistency diagnostics",
+        {"topic": dict(choices=["nl-composition"]), "--delta": _CHAIN},
+        _diagnose,
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argument parser, built from COMMANDS on first use."""
     parser = _Parser(prog="agtaut", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    def add(name, help_text, **flags):
-        p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in flags.items():
-            p.add_argument(f"--{flag}", **kwargs)
-        return p
-
-    add(
-        "taut-nl",
-        "tautological projection of a Noether-Lefschetz cycle",
-        g=dict(type=int, required=True),
-        delta=dict(type=str, required=True, help="comma-separated chain, e.g. 1,2,4"),
-        json=dict(action="store_true"),
-    )
-    add(
-        "taut-nl-tilde",
-        "projection of the degree-d elliptic-homomorphism cycle",
-        g=dict(type=int, required=True),
-        d=dict(type=int, required=True),
-        json=dict(action="store_true"),
-    )
-    add(
-        "taut-product",
-        "projection of the u x (g-u) product cycle",
-        g=dict(type=int, required=True),
-        u=dict(type=int, required=True),
-        json=dict(action="store_true"),
-    )
-    add(
-        "eisenstein",
-        "q-expansion of the weight-2g Eisenstein series",
-        g=dict(type=int, required=True),
-        order=dict(type=int, required=True),
-        json=dict(action="store_true"),
-    )
-    add(
-        "ring-reduce",
-        "normal form of a lambda monomial (indices with repeats)",
-        g=dict(type=int, required=True),
-        indices=dict(type=str, required=True, help="e.g. 1,1,2 for L1^2 L2"),
-        json=dict(action="store_true"),
-    )
-    add(
-        "ring-pair",
-        "socle pairing matrix between complementary degrees",
-        g=dict(type=int, required=True),
-        k=dict(type=int, required=True),
-        json=dict(action="store_true"),
-    )
-    add(
-        "deg-phi",
-        "degree of the polarization-quotient cover",
-        g=dict(type=int, required=True),
-        delta=dict(type=str, required=True),
-        route=dict(
-            type=str,
-            default=degrees.ROUTE_CLOSED,
-            choices=[
-                degrees.ROUTE_CLOSED,
-                degrees.ROUTE_STRATIFIED,
-                degrees.ROUTE_ENUMERATION,
-            ],
-        ),
-        json=dict(action="store_true"),
-    )
-    add(
-        "deg-pi",
-        "degree of the level-forgetting cover",
-        g=dict(type=int, required=True),
-        delta=dict(type=str, required=True),
-        json=dict(action="store_true"),
-    )
-    add(
-        "sp-order",
-        "order of the symplectic group over Z/N",
-        g=dict(type=int, required=True),
-        n=dict(type=int, required=True),
-        json=dict(action="store_true"),
-    )
-    add(
-        "gw-predict",
-        "sigma-weighted Gromov-Witten predictor",
-        g=dict(type=int, required=True),
-        d=dict(type=int, required=True),
-        i=dict(type=int, default=1),
-        integral=dict(
-            type=str,
-            default=None,
-            help="Hodge/psi integral as p/q; default derives the printed case",
-        ),
-        json=dict(action="store_true"),
-    )
-    diagnose = sub.add_parser("diagnose", help="consistency diagnostics")
-    diagnose.add_argument("topic", choices=["nl-composition"])
-    diagnose.add_argument("--g", type=int, required=True)
-    diagnose.add_argument("--delta", type=str, required=True)
-    diagnose.add_argument("--json", action="store_true")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        flags = {"--g": _INT, **command.flags, "--json": dict(action="store_true")}
+        # positionals first: argparse names missing arguments in this order
+        for flag in sorted(flags, key=lambda f: f.startswith("-")):
+            p.add_argument(flag, **flags[flag])
     verify_parser = sub.add_parser("verify", help="run verification suites")
     verify_parser.add_argument("--all", action="store_true")
     verify_parser.add_argument("--suite", action="append", default=[])
@@ -158,123 +216,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _verify(args, out) -> int:
+    if args.list:
+        for name in verify.CHECKS:
+            print(name, file=out)
+        return 0
+    # --all (and the bare default) run everything; otherwise the named suites
+    names = None if args.all or not args.suite else args.suite
+    return 0 if verify.run_suites(names, stream=out) else 2
+
+
 def run(argv: List[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        return _dispatch(args, out)
+        if args.command == "verify":
+            return _verify(args, out)
+        result = COMMANDS[args.command].handler(args)
+        if args.json:
+            print(json.dumps(result.to_json_dict(), sort_keys=True), file=out)
+        else:
+            print(result, file=out)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 1
-
-
-def _dispatch(args, out) -> int:
-    command = args.command
-
-    if command == "taut-nl":
-        result = nl.taut_nl(args.g, _parse_delta(args.delta))
-        _emit_json(result.to_json_dict(), out) if args.json else print(result, file=out)
-    elif command == "taut-nl-tilde":
-        result = nl.taut_nl_tilde(args.g, args.d)
-        _emit_json(result.to_json_dict(), out) if args.json else print(result, file=out)
-    elif command == "taut-product":
-        result = nl.taut_product_cycle(args.g, args.u)
-        _emit_json(result.to_json_dict(), out) if args.json else print(result, file=out)
-    elif command == "eisenstein":
-        series = nl.eisenstein_series(args.g, args.order)
-        _emit_json(series.to_json_dict(), out) if args.json else print(series, file=out)
-    elif command == "ring-reduce":
-        try:
-            indices = [int(x) for x in args.indices.split(",") if x.strip()]
-        except ValueError as exc:
-            raise UsageError(f"malformed index list {args.indices!r}") from exc
-        result = ring.reduce(ring.LambdaPolynomial.monomial(args.g, indices))
-        _emit_json(result.to_json_dict(), out) if args.json else print(result, file=out)
-    elif command == "ring-pair":
-        matrix = ring.pairing_matrix(args.g, args.k)
-        if args.json:
-            _emit_json(matrix.to_json_dict(), out)
-        else:
-            fmt = lambda s: "[" + ",".join(map(str, s)) + "]"
-            print("rows: " + " ".join(fmt(s) for s in matrix.rows), file=out)
-            print("cols: " + " ".join(fmt(s) for s in matrix.cols), file=out)
-            for row in matrix.entries:
-                print("[" + " ".join(str(x) for x in row) + "]", file=out)
-            print(f"nonsingular: {'yes' if matrix.is_nonsingular() else 'no'}", file=out)
-    elif command == "deg-phi":
-        delta = _parse_delta(args.delta)
-        if args.route == degrees.ROUTE_CLOSED:
-            result = degrees.deg_phi(args.g, delta)
-        elif args.route == degrees.ROUTE_STRATIFIED:
-            result = degrees.deg_phi_crt(args.g, delta)
-        else:
-            if args.g != 1 or delta.u != 1:
-                raise UsageError(
-                    "enumeration route exists only for g=1 and a length-1 chain"
-                )
-            result = degrees.oracle_index(delta.entries[0])
-        _emit_json(result.to_json_dict(), out) if args.json else print(result, file=out)
-    elif command == "deg-pi":
-        result = degrees.deg_pi(args.g, _parse_delta(args.delta))
-        _emit_json(result.to_json_dict(), out) if args.json else print(result, file=out)
-    elif command == "sp-order":
-        order = degrees.sp_order(args.g, args.n)
-        if args.json:
-            _emit_json({"g": args.g, "n": args.n, "order": str(order)}, out)
-        else:
-            print(order, file=out)
-    elif command == "gw-predict":
-        if args.integral is None:
-            if args.i != 1:
-                raise UsageError(
-                    "without --integral only the printed i=1 case is available"
-                )
-            value = gw.gw_tau1_lambda(args.g, args.d)
-            insertion = "lambda_g*lambda_{g-2}"
-        else:
-            value = gw.conjecture_prediction(
-                args.g, args.d, args.i, _parse_rational(args.integral)
-            )
-            insertion = "supplied"
-        prediction = gw.GWPrediction(args.g, args.d, args.i, insertion, value)
-        if args.json:
-            _emit_json(prediction.to_json_dict(), out)
-        else:
-            print(value, file=out)
-    elif command == "diagnose":
-        report = degrees.nl_composition(args.g, _parse_delta(args.delta))
-        if args.json:
-            _emit_json(
-                {
-                    "constant": str(report["constant"]),
-                    "composed": str(report["composed"]),
-                    "match": report["match"],
-                },
-                out,
-            )
-        else:
-            print(f"ring constant:      {report['constant']}", file=out)
-            print(f"degree composition: {report['composed']}", file=out)
-            print(f"match: {'yes' if report['match'] else 'no'}", file=out)
-    elif command == "verify":
-        if args.list:
-            for name in verify.CHECKS:
-                print(name, file=out)
-            return 0
-        # --all (and the bare default) run everything; otherwise the named suites
-        names = None if args.all or not args.suite else args.suite
-        if not verify.run_suites(names, stream=out):
-            return 2
-    else:
-        raise UsageError(f"unknown subcommand {command!r}")
-    return 0
 
 
 def main() -> None:

@@ -36,10 +36,10 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .arith import factorize, is_prime
-from .nl import nl_constant, _as_type
+from .nl import _as_type, _chain_correction, nl_constant
 
-# Enumeration caps.  AGTAUT_ORACLE_CAP may lower (or restore) the default,
-# but never exceeds the hard limit.
+# Enumeration caps.  AGTAUT_ORACLE_CAP may lower (or restore) them, but
+# never exceeds them.
 ORACLE_INDEX_HARD_CAP = 8
 SL2_ENUMERATION_HARD_CAP = 16
 
@@ -48,10 +48,10 @@ ROUTE_STRATIFIED = "stratified"
 ROUTE_ENUMERATION = "enumeration"
 
 
-def _env_cap(default: int, hard: int) -> int:
+def _env_cap(hard: int) -> int:
     raw = os.environ.get("AGTAUT_ORACLE_CAP")
     if raw is None:
-        return min(default, hard)
+        return hard
     try:
         value = int(raw)
     except ValueError as exc:
@@ -267,16 +267,7 @@ def deg_phi_crt(g: int, delta) -> DegreeResult:
 def deg_pi(g: int, delta) -> DegreeResult:
     """deg_pi = deg_phi times the correction with d_k exponent 2g - 4k + 2."""
     delta = _as_type(delta).padded(g)
-    value = deg_phi(g, delta).value
-    for k, d_k in enumerate(delta.entries, start=1):
-        value *= Fraction(d_k) ** (2 * g - 4 * k + 2)
-    for i in range(1, g + 1):
-        for j in range(i + 1, g + 1):
-            ratio = delta.entries[j - 1] // delta.entries[i - 1]
-            for p in factorize(ratio).primes():
-                value *= (1 - Fraction(p) ** (-2 * (j - i))) / (
-                    1 - Fraction(p) ** (-2 * (j - i + 1))
-                )
+    value = deg_phi(g, delta).value * _chain_correction(delta)
     if value.denominator != 1:
         raise AssertionError(f"deg_pi({g}, {delta}) is not an integer: {value}")
     return DegreeResult(value, ROUTE_CLOSED)
@@ -285,14 +276,9 @@ def deg_pi(g: int, delta) -> DegreeResult:
 # -- enumeration oracle (genus 1) -------------------------------------------
 
 
-def sl2_order_enumerated(N: int) -> int:
+def _sl2_count(N: int) -> int:
     """|SL_2(Z/N)| by exhausting 4-tuples: for each (a, b, c) the entries
-    with a*w - b*c = 1 are counted off a tabulation of a*w mod N."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    cap = _env_cap(SL2_ENUMERATION_HARD_CAP, SL2_ENUMERATION_HARD_CAP)
-    if N > cap:
-        raise ValueError(f"SL_2 enumeration capped at N <= {cap}, got {N}")
+    with a*w - b*c = 1 are counted off a tabulation of a*w mod N.  Uncapped."""
     count = 0
     for a in range(N):
         # tabulate how often a*w hits each residue as w runs over Z/N
@@ -303,6 +289,16 @@ def sl2_order_enumerated(N: int) -> int:
             for c in range(N):
                 count += hits[(1 + b * c) % N]
     return count
+
+
+def sl2_order_enumerated(N: int) -> int:
+    """|SL_2(Z/N)| by enumeration, within the SL_2 enumeration cap."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    cap = _env_cap(SL2_ENUMERATION_HARD_CAP)
+    if N > cap:
+        raise ValueError(f"SL_2 enumeration capped at N <= {cap}, got {N}")
+    return _sl2_count(N)
 
 
 def sp4_f2_order_enumerated() -> int:
@@ -336,18 +332,11 @@ def oracle_index(d: int) -> DegreeResult:
     determinant condition in the last coordinate), count matrices of the
     congruence pattern (upper-left = 1 mod d, upper-right = 0 mod d^2,
     lower-right = 1 mod d) and return order / count."""
-    cap = _env_cap(ORACLE_INDEX_HARD_CAP, ORACLE_INDEX_HARD_CAP)
+    cap = _env_cap(ORACLE_INDEX_HARD_CAP)
     if not 2 <= d <= cap:
         raise ValueError(f"enumeration oracle requires 2 <= d <= {cap}, got {d}")
     N = d * d
-    order = 0
-    for a in range(N):
-        hits = [0] * N
-        for w in range(N):
-            hits[(a * w) % N] += 1
-        for b in range(N):
-            for c in range(N):
-                order += hits[(1 + b * c) % N]
+    order = _sl2_count(N)
     pattern = 0
     for x in range(1, N, d):
         for w in range(1, N, d):

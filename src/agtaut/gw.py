@@ -36,6 +36,9 @@ class GWPrediction:
     insertion: str
     value: Fraction
 
+    def __str__(self) -> str:
+        return str(self.value)
+
     def to_json_dict(self) -> dict:
         return {
             "g": self.g,

@@ -206,22 +206,31 @@ def taut_product_cycle(g: int, u: int) -> TautClass:
     raise ValueError(f"product cycle with u={u} is out of scope (u <= 2 only)")
 
 
+def _chain_correction(delta: PolarizationType) -> Fraction:
+    """prod_k d_k^(2n - 4k + 2) * prod_{1 <= i < j <= n} prod_{p | d_j / d_i}
+    (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1))), with n the chain length."""
+    entries = delta.entries
+    n = len(entries)
+    c = Fraction(1)
+    for k, d_k in enumerate(entries, start=1):
+        c *= Fraction(d_k) ** (2 * n - 4 * k + 2)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ratio = entries[j - 1] // entries[i - 1]
+            for p in factorize(ratio).primes():
+                c *= (1 - Fraction(p) ** (-2 * (j - i))) / (
+                    1 - Fraction(p) ** (-2 * (j - i + 1))
+                )
+    return c
+
+
 def nl_constant(g: int, delta) -> Fraction:
     """Multiplier relating the NL projection to the product-cycle projection."""
     delta = _as_type(delta)
     u = delta.u
     if 2 * u > g:
         raise ValueError(f"type {delta} too long for genus {g}")
-    c = Fraction(1)
-    for k, d_k in enumerate(delta.entries, start=1):
-        c *= Fraction(d_k) ** (2 * u - 4 * k + 2)
-    for i in range(1, u + 1):
-        for j in range(i + 1, u + 1):
-            ratio = delta.entries[j - 1] // delta.entries[i - 1]
-            for p in factorize(ratio).primes():
-                c *= (1 - Fraction(p) ** (-2 * (j - i))) / (
-                    1 - Fraction(p) ** (-2 * (j - i + 1))
-                )
+    c = _chain_correction(delta)
     c *= Fraction(delta.product) ** (2 * (g - u) + 1)
     for j in range(1, u + 1):
         for p in factorize(delta.entries[j - 1]).primes():
@@ -272,7 +281,7 @@ def taut_nl_pair_special(g: int, d1: int, d2: int) -> TautClass:
 # -- tilde cycles and the Eisenstein identity ------------------------------
 
 
-def tilde_to_plain(g: int, D: int) -> Matrix:
+def tilde_to_plain(D: int) -> Matrix:
     """Basis change expressing each tilde cycle as a divisor sum of plain
     cycles, d in [1, D]: M[d, dhat] = sigma_1(d / dhat) when dhat | d,
     else 0.  Unit diagonal, lower triangular, int entries."""
@@ -285,9 +294,9 @@ def tilde_to_plain(g: int, D: int) -> Matrix:
     return matrix
 
 
-def plain_to_tilde(g: int, D: int) -> Matrix:
+def plain_to_tilde(D: int) -> Matrix:
     """Exact inverse of tilde_to_plain; the roundtrip is the identity."""
-    return invert(tilde_to_plain(g, D))
+    return invert(tilde_to_plain(D))
 
 
 def taut_nl_tilde(g: int, d: int) -> TautClass:

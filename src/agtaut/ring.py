@@ -52,32 +52,87 @@ def _as_coeff(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class LambdaPolynomial:
+class _SparseTerms:
+    """Sparse map from keys to nonzero Fraction coefficients, in genus g.
+
+    Subclasses fix what a key is (_check_key) and how two elements
+    multiply (_multiply); the cleaning, addition, scaling and equality
+    shared by both ring representations live here.
+    """
+
+    __slots__ = ("g", "terms")
+
+    def __init__(self, g: int, terms: dict):
+        if g < 1:
+            raise ValueError(f"genus must be >= 1, got {g}")
+        self.g = g
+        check_key = self._check_key
+        clean: dict = {}
+        for key, coeff in terms.items():
+            key = tuple(key)
+            check_key(key)
+            coeff = _as_coeff(coeff)
+            if coeff != 0:
+                if key in clean:
+                    coeff += clean[key]
+                clean[key] = coeff
+                if coeff == 0:
+                    del clean[key]
+        self.terms = clean
+
+    def _check_key(self, key: tuple) -> None:
+        raise NotImplementedError
+
+    def _multiply(self, other):
+        raise NotImplementedError
+
+    def _check_genus(self, other: "_SparseTerms") -> None:
+        if self.g != other.g:
+            raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
+
+    def __add__(self, other):
+        self._check_genus(other)
+        merged = dict(self.terms)
+        for key, coeff in other.terms.items():
+            merged[key] = merged.get(key, Fraction(0)) + coeff
+        return type(self)(self.g, merged)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._multiply(other)
+        coeff = _as_coeff(other)
+        return type(self)(self.g, {k: c * coeff for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.g == other.g
+            and self.terms == other.terms
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class LambdaPolynomial(_SparseTerms):
     """Element of Q[lambda_1, ..., lambda_g], sparse over exponent vectors.
 
     Exponent vectors have length g; entry i-1 is the exponent of lambda_i.
     Generators with index > g do not exist and are rejected at construction.
     """
 
-    __slots__ = ("g", "terms")
+    __slots__ = ()
 
-    def __init__(self, g: int, terms: Dict[ExponentVector, Fraction]):
-        if g < 1:
-            raise ValueError(f"genus must be >= 1, got {g}")
-        self.g = g
-        clean: Dict[ExponentVector, Fraction] = {}
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != g:
-                raise ValueError(f"exponent vector {exps} has length != g = {g}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            coeff = _as_coeff(coeff)
-            if coeff != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if clean[exps] == 0:
-                    del clean[exps]
-        self.terms = clean
+    def _check_key(self, exps: ExponentVector) -> None:
+        if len(exps) != self.g:
+            raise ValueError(f"exponent vector {exps} has length != g = {self.g}")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
 
     # -- constructors ---------------------------------------------------
 
@@ -110,43 +165,14 @@ class LambdaPolynomial:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _check_genus(self, other: "LambdaPolynomial") -> None:
-        if self.g != other.g:
-            raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
-
-    def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
+    def _multiply(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
         self._check_genus(other)
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
-        return LambdaPolynomial(self.g, merged)
-
-    def __sub__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, LambdaPolynomial):
-            self._check_genus(other)
-            product: Dict[ExponentVector, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    product[e] = product.get(e, Fraction(0)) + c1 * c2
-            return LambdaPolynomial(self.g, product)
-        coeff = _as_coeff(other)
-        return LambdaPolynomial(self.g, {e: c * coeff for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LambdaPolynomial)
-            and self.g == other.g
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        product: Dict[ExponentVector, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                product[e] = product.get(e, Fraction(0)) + c1 * c2
+        return LambdaPolynomial(self.g, product)
 
     def weights(self) -> Tuple[int, ...]:
         return tuple(sorted({_weight(e) for e in self.terms}))
@@ -247,28 +273,16 @@ def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, Fr
     return tuple(sorted((i, c) for i, c in collected.items() if c != 0))
 
 
-class TautClass:
+class TautClass(_SparseTerms):
     """Ring element in the square-free basis: index sets S in {1, ..., g-1}."""
 
-    __slots__ = ("g", "terms")
+    __slots__ = ()
 
-    def __init__(self, g: int, terms: Dict[IndexTuple, Fraction]):
-        if g < 1:
-            raise ValueError(f"genus must be >= 1, got {g}")
-        self.g = g
-        clean: Dict[IndexTuple, Fraction] = {}
-        for indices, coeff in terms.items():
-            indices = tuple(indices)
-            if any(not 1 <= i <= g - 1 for i in indices):
-                raise ValueError(f"indices {indices} not within [1, {g - 1}]")
-            if any(a >= b for a, b in zip(indices, indices[1:])):
-                raise ValueError(f"indices {indices} not strictly increasing")
-            coeff = _as_coeff(coeff)
-            if coeff != 0:
-                clean[indices] = clean.get(indices, Fraction(0)) + coeff
-                if clean[indices] == 0:
-                    del clean[indices]
-        self.terms = clean
+    def _check_key(self, indices: IndexTuple) -> None:
+        if any(not 1 <= i <= self.g - 1 for i in indices):
+            raise ValueError(f"indices {indices} not within [1, {self.g - 1}]")
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise ValueError(f"indices {indices} not strictly increasing")
 
     # -- constructors ---------------------------------------------------
 
@@ -285,56 +299,20 @@ class TautClass:
         return cls(g, {tuple(sorted(indices)): _as_coeff(coeff)})
 
     def to_polynomial(self) -> LambdaPolynomial:
-        terms: Dict[ExponentVector, Fraction] = {}
-        for indices, coeff in self.terms.items():
-            exps = [0] * self.g
-            for i in indices:
-                exps[i - 1] = 1
-            terms[tuple(exps)] = coeff
-        return LambdaPolynomial(self.g, terms)
+        return LambdaPolynomial(
+            self.g, {_exponents(self.g, s): c for s, c in self.terms.items()}
+        )
 
     # -- arithmetic -----------------------------------------------------
 
-    def _check_genus(self, other: "TautClass") -> None:
-        if self.g != other.g:
-            raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
-
-    def __add__(self, other: "TautClass") -> "TautClass":
-        self._check_genus(other)
-        merged = dict(self.terms)
-        for indices, coeff in other.terms.items():
-            merged[indices] = merged.get(indices, Fraction(0)) + coeff
-        return TautClass(self.g, merged)
-
-    def __sub__(self, other: "TautClass") -> "TautClass":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, TautClass):
-            return multiply(self, other)
-        coeff = _as_coeff(other)
-        return TautClass(self.g, {s: c * coeff for s, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TautClass)
-            and self.g == other.g
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _multiply(self, other: "TautClass") -> "TautClass":
+        return multiply(self, other)
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(sorted(indices)), Fraction(0))
 
     def degrees(self) -> Tuple[int, ...]:
         return tuple(sorted({sum(s) for s in self.terms}))
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def _sorted_terms(self) -> List[Tuple[IndexTuple, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
@@ -388,20 +366,24 @@ def reduce(p: LambdaPolynomial) -> TautClass:
     return TautClass(p.g, result)
 
 
+def _exponents(g: int, indices: Iterable[int]) -> ExponentVector:
+    """Exponent vector of the product of lambda_i over an index multiset."""
+    exps = [0] * g
+    for i in indices:
+        exps[i - 1] += 1
+    return tuple(exps)
+
+
 def multiply(a: TautClass, b: TautClass) -> TautClass:
     """Ring product: multiply the polynomial lifts, then reduce."""
     a._check_genus(b)
+    g = a.g
     result: Dict[IndexTuple, Fraction] = {}
     for s, cs in a.terms.items():
         for t, ct in b.terms.items():
-            exps = [0] * a.g
-            for i in s:
-                exps[i - 1] += 1
-            for i in t:
-                exps[i - 1] += 1
-            for indices, c in _reduce_monomial(a.g, tuple(exps)):
+            for indices, c in _reduce_monomial(g, _exponents(g, s + t)):
                 result[indices] = result.get(indices, Fraction(0)) + cs * ct * c
-    return TautClass(a.g, result)
+    return TautClass(g, result)
 
 
 def top_degree(g: int) -> int:
@@ -468,6 +450,15 @@ class PairingMatrix:
             # Degree out of range on both sides: vacuously perfect.
             return True
         return is_nonsingular([list(r) for r in self.entries])
+
+    def __str__(self) -> str:
+        fmt = lambda s: "[" + ",".join(map(str, s)) + "]"
+        return "\n".join(
+            ["rows: " + " ".join(fmt(s) for s in self.rows)]
+            + ["cols: " + " ".join(fmt(s) for s in self.cols)]
+            + ["[" + " ".join(str(x) for x in row) + "]" for row in self.entries]
+            + [f"nonsingular: {'yes' if self.is_nonsingular() else 'no'}"]
+        )
 
     def to_json_dict(self) -> dict:
         return {

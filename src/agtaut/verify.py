@@ -350,8 +350,8 @@ def check_basis_change() -> str:
     from .linalg import identity, mat_mul
 
     D = 100
-    forward = nl.tilde_to_plain(2, D)
-    backward = nl.plain_to_tilde(2, D)
+    forward = nl.tilde_to_plain(D)
+    backward = nl.plain_to_tilde(D)
     _demand(
         suite,
         f"transform roundtrip at D={D}",
@@ -380,22 +380,17 @@ CHECKS: Dict[str, Callable[[], str]] = {
 }
 
 
-def run_suites(
-    names: Optional[List[str]] = None,
-    stream=None,
-    fail_fast: bool = True,
-) -> bool:
+def run_suites(names: Optional[List[str]] = None, stream=None) -> bool:
     """Run the named suites (all by default); print one line per suite.
 
-    Returns True when everything passed.  With fail_fast the first failure
-    stops the run after printing both sides of the violated identity.
+    Returns True when everything passed.  The first failure stops the run
+    after printing both sides of the violated identity.
     """
     stream = stream if stream is not None else sys.stdout
     names = list(CHECKS) if names is None else names
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")
-    all_passed = True
     for name in names:
         try:
             summary = CHECKS[name]()
@@ -403,9 +398,6 @@ def run_suites(
             print(f"FAIL {name}: {failure.context}", file=stream)
             print(f"  lhs = {failure.lhs}", file=stream)
             print(f"  rhs = {failure.rhs}", file=stream)
-            all_passed = False
-            if fail_fast:
-                return False
-        else:
-            print(f"PASS {name}: {summary}", file=stream)
-    return all_passed
+            return False
+        print(f"PASS {name}: {summary}", file=stream)
+    return True

@@ -128,8 +128,8 @@ def test_taut_nl_tilde_two_routes_agree():
 
 
 def test_tilde_to_plain_entries():
-    assert tilde_to_plain(2, 1) == [[Fraction(1)]]
-    m = tilde_to_plain(2, 6)
+    assert tilde_to_plain(1) == [[Fraction(1)]]
+    m = tilde_to_plain(6)
     assert m[3][1] == 3  # entry (4, 2): sigma_1(2)
     assert m[5][0] == 12  # entry (6, 1): sigma_1(6)
     assert m[5][3] == 0  # 4 does not divide 6
@@ -137,10 +137,10 @@ def test_tilde_to_plain_entries():
 
 
 def test_plain_to_tilde_inverse():
-    assert plain_to_tilde(2, 1) == [[Fraction(1)]]
-    assert plain_to_tilde(2, 2) == [[Fraction(1), Fraction(0)], [Fraction(-3), Fraction(1)]]
-    forward = tilde_to_plain(3, 6)
-    backward = plain_to_tilde(3, 6)
+    assert plain_to_tilde(1) == [[Fraction(1)]]
+    assert plain_to_tilde(2) == [[Fraction(1), Fraction(0)], [Fraction(-3), Fraction(1)]]
+    forward = tilde_to_plain(6)
+    backward = plain_to_tilde(6)
     assert mat_mul(backward, forward) == identity(6)
     # unit-triangular integer matrices invert without leaving int
     assert all(type(x) is int for row in forward + backward for x in row)
