@@ -25,6 +25,15 @@ FACTORIZATION_CAP = 10**12
 ArithmeticFunction = Callable[[int], "Rational | int"]
 
 
+def as_rational(value) -> Fraction:
+    """A Fraction as is, an int as a Fraction; a float or any other type is a TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
 class Factorization:
     """Prime factorization of a positive integer, primes strictly increasing."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .arith import abs_bernoulli, sigma
+from .arith import abs_bernoulli, as_rational, sigma
 
 
 @dataclass(frozen=True)
@@ -86,5 +86,5 @@ def conjecture_prediction(g: int, d: int, i: int, psi_lambda_integral) -> Fracti
         Fraction(g)
         * sigma(2 * g - 1, d)
         / (6 * abs_bernoulli(2 * g))
-        * Fraction(psi_lambda_integral)
+        * as_rational(psi_lambda_integral)
     )

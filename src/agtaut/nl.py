@@ -37,7 +37,7 @@ import re
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .arith import abs_bernoulli, bernoulli, divisors, factorize, sigma
+from .arith import abs_bernoulli, as_rational, bernoulli, divisors, factorize, sigma
 from .linalg import Matrix, invert
 from .ring import LambdaPolynomial, TautClass, multiply, reduce
 
@@ -136,7 +136,7 @@ class QSeries:
     def __init__(self, coeffs: Sequence):
         if not coeffs:
             raise ValueError("a q-series stores at least the constant term")
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(as_rational, coeffs))
 
     @property
     def order(self) -> int:
@@ -401,7 +401,7 @@ class NLExpression:
                 )
             for kind, args in symbols:
                 _make_symbol(kind, tuple(args), g)
-            clean.append((Fraction(coeff), symbols))
+            clean.append((as_rational(coeff), symbols))
         self.terms = tuple(clean)
 
     def __repr__(self) -> str:
@@ -469,18 +469,9 @@ def taut_projection(expression: NLExpression) -> TautClass:
     for coeff, symbols in expression.terms:
         if len(symbols) == 1:
             value = _project_symbol(g, symbols[0])
+        elif all(kind in _NL_KINDS for kind, _ in symbols):
+            value = TautClass.zero(g)
         else:
-            kinds = [kind for kind, _ in symbols]
-            nl_count = sum(kind in _NL_KINDS for kind in kinds)
-            if nl_count == 2:
-                value = TautClass.zero(g)
-            elif nl_count == 1:
-                lam = symbols[0] if kinds[0] == "L" else symbols[1]
-                other = symbols[1] if kinds[0] == "L" else symbols[0]
-                value = multiply(_project_symbol(g, lam), _project_symbol(g, other))
-            else:
-                value = multiply(
-                    _project_symbol(g, symbols[0]), _project_symbol(g, symbols[1])
-                )
+            value = multiply(*(_project_symbol(g, symbol) for symbol in symbols))
         result = result + coeff * value
     return result

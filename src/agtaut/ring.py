@@ -33,8 +33,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from itertools import chain
+from operator import add
+from typing import Iterable, List, Tuple
 
+from .arith import as_rational
 from .linalg import is_nonsingular, rref
 
 # The oracle enumerates all monomials of a weight, which grows quickly.
@@ -44,12 +47,17 @@ ExponentVector = Tuple[int, ...]
 IndexTuple = Tuple[int, ...]
 
 
-def _as_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+def _collect(pairs: Iterable[tuple]) -> dict:
+    """Sum (key, coeff) pairs per key, each sum starting from int 0.
+
+    Integer coefficients stay int; zero sums are kept, the constructors
+    drop them.
+    """
+    total: dict = {}
+    get = total.get
+    for key, coeff in pairs:
+        total[key] = get(key, 0) + coeff
+    return total
 
 
 class _SparseTerms:
@@ -57,7 +65,9 @@ class _SparseTerms:
 
     Subclasses fix what a key is (_check_key) and how two elements
     multiply (_multiply); the cleaning, addition, scaling and equality
-    shared by both ring representations live here.
+    shared by both ring representations live here.  The constructor is the
+    one place a ring coefficient becomes a Fraction; below it, normal forms
+    and products are computed on int wherever the inputs are int.
     """
 
     __slots__ = ("g", "terms")
@@ -71,13 +81,9 @@ class _SparseTerms:
         for key, coeff in terms.items():
             key = tuple(key)
             check_key(key)
-            coeff = _as_coeff(coeff)
-            if coeff != 0:
-                if key in clean:
-                    coeff += clean[key]
+            coeff = as_rational(coeff)
+            if coeff:
                 clean[key] = coeff
-                if coeff == 0:
-                    del clean[key]
         self.terms = clean
 
     def _check_key(self, key: tuple) -> None:
@@ -92,10 +98,7 @@ class _SparseTerms:
 
     def __add__(self, other):
         self._check_genus(other)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return type(self)(self.g, merged)
+        return type(self)(self.g, _collect(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -103,7 +106,7 @@ class _SparseTerms:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             return self._multiply(other)
-        coeff = _as_coeff(other)
+        coeff = as_rational(other)
         return type(self)(self.g, {k: c * coeff for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -142,37 +145,34 @@ class LambdaPolynomial(_SparseTerms):
 
     @classmethod
     def one(cls, g: int) -> "LambdaPolynomial":
-        return cls(g, {(0,) * g: Fraction(1)})
+        return cls(g, {(0,) * g: 1})
 
     @classmethod
     def generator(cls, g: int, i: int) -> "LambdaPolynomial":
         """lambda_i as a polynomial; requires 1 <= i <= g."""
-        if not 1 <= i <= g:
-            raise ValueError(f"lambda_{i} does not exist in genus {g}")
-        exps = [0] * g
-        exps[i - 1] = 1
-        return cls(g, {tuple(exps): Fraction(1)})
+        return cls.monomial(g, (i,))
 
     @classmethod
     def monomial(cls, g: int, indices: Iterable[int], coeff=1) -> "LambdaPolynomial":
         """Product of lambda_i over an index multiset (repeats allowed)."""
-        exps = [0] * g
+        indices = tuple(indices)
         for i in indices:
             if not 1 <= i <= g:
                 raise ValueError(f"lambda_{i} does not exist in genus {g}")
-            exps[i - 1] += 1
-        return cls(g, {tuple(exps): _as_coeff(coeff)})
+        return cls(g, {_exponents(g, indices): coeff})
 
     # -- arithmetic -----------------------------------------------------
 
     def _multiply(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
         self._check_genus(other)
-        product: Dict[ExponentVector, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                product[e] = product.get(e, Fraction(0)) + c1 * c2
-        return LambdaPolynomial(self.g, product)
+        return LambdaPolynomial(
+            self.g,
+            _collect(
+                (tuple(map(add, e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ),
+        )
 
     def weights(self) -> Tuple[int, ...]:
         return tuple(sorted({_weight(e) for e in self.terms}))
@@ -227,22 +227,16 @@ def relation(k: int, g: int) -> LambdaPolynomial:
     """
     if not 1 <= k <= g - 1:
         raise ValueError(f"relation index k={k} out of range [1, {g - 1}]")
-    terms: Dict[ExponentVector, Fraction] = {}
-    square = [0] * g
-    square[k - 1] = 2
-    terms[tuple(square)] = Fraction(1)
+    terms = {_exponents(g, (k, k)): 1}
     for m in range(1, min(k, g - 1 - k) + 1):
-        exps = [0] * g
-        exps[k + m - 1] += 1
-        if k - m >= 1:
-            exps[k - m - 1] += 1
-        terms[tuple(exps)] = Fraction(-2 * (-1) ** (m + 1))
+        pair = (k - m, k + m) if k > m else (k + m,)
+        terms[_exponents(g, pair)] = -2 * (-1) ** (m + 1)
     return LambdaPolynomial(g, terms)
 
 
 @lru_cache(maxsize=None)
-def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, Fraction], ...]:
-    """Normal form of a single monomial, as ((indices, coeff), ...).
+def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, int], ...]:
+    """Normal form of a single monomial, as ((indices, int coeff), ...).
 
     Deletes lambda_g, then eliminates the squared factor of smallest index.
     Recursion terminates: a rewrite replaces the pair (k, k) by (k-m, k+m),
@@ -258,19 +252,22 @@ def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, Fr
             break
     if square_index == 0:
         indices = tuple(i + 1 for i in range(g - 1) if exps[i])
-        return ((indices, Fraction(1)),)
+        return ((indices, 1),)
     k = square_index
-    collected: Dict[IndexTuple, Fraction] = {}
+    # The recursive call stays in this frame, not in a generator, so each
+    # rewrite costs one level of the interpreter's recursion limit.
+    rewritten = []
     for m in range(1, min(k, g - 1 - k) + 1):
         child = list(exps)
         child[k - 1] -= 2
         child[k + m - 1] += 1
         if k - m >= 1:
             child[k - m - 1] += 1
-        coeff = Fraction(2 * (-1) ** (m + 1))
-        for indices, c in _reduce_monomial(g, tuple(child)):
-            collected[indices] = collected.get(indices, Fraction(0)) + coeff * c
-    return tuple(sorted((i, c) for i, c in collected.items() if c != 0))
+        rewritten.append((2 * (-1) ** (m + 1), _reduce_monomial(g, tuple(child))))
+    collected = _collect(
+        (indices, coeff * c) for coeff, normal_form in rewritten for indices, c in normal_form
+    )
+    return tuple(sorted((i, c) for i, c in collected.items() if c))
 
 
 class TautClass(_SparseTerms):
@@ -292,11 +289,11 @@ class TautClass(_SparseTerms):
 
     @classmethod
     def one(cls, g: int) -> "TautClass":
-        return cls(g, {(): Fraction(1)})
+        return cls(g, {(): 1})
 
     @classmethod
     def monomial(cls, g: int, indices: Iterable[int], coeff=1) -> "TautClass":
-        return cls(g, {tuple(sorted(indices)): _as_coeff(coeff)})
+        return cls(g, {tuple(sorted(indices)): coeff})
 
     def to_polynomial(self) -> LambdaPolynomial:
         return LambdaPolynomial(
@@ -310,9 +307,6 @@ class TautClass(_SparseTerms):
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(sorted(indices)), Fraction(0))
-
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted({sum(s) for s in self.terms}))
 
     def _sorted_terms(self) -> List[Tuple[IndexTuple, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
@@ -359,11 +353,14 @@ class TautClass(_SparseTerms):
 
 def reduce(p: LambdaPolynomial) -> TautClass:
     """Normal form of a polynomial in the square-free basis."""
-    result: Dict[IndexTuple, Fraction] = {}
-    for exps, coeff in p.terms.items():
-        for indices, c in _reduce_monomial(p.g, exps):
-            result[indices] = result.get(indices, Fraction(0)) + coeff * c
-    return TautClass(p.g, result)
+    return TautClass(
+        p.g,
+        _collect(
+            (indices, coeff * c)
+            for exps, coeff in p.terms.items()
+            for indices, c in _reduce_monomial(p.g, exps)
+        ),
+    )
 
 
 def _exponents(g: int, indices: Iterable[int]) -> ExponentVector:
@@ -378,12 +375,15 @@ def multiply(a: TautClass, b: TautClass) -> TautClass:
     """Ring product: multiply the polynomial lifts, then reduce."""
     a._check_genus(b)
     g = a.g
-    result: Dict[IndexTuple, Fraction] = {}
-    for s, cs in a.terms.items():
-        for t, ct in b.terms.items():
-            for indices, c in _reduce_monomial(g, _exponents(g, s + t)):
-                result[indices] = result.get(indices, Fraction(0)) + cs * ct * c
-    return TautClass(g, result)
+    return TautClass(
+        g,
+        _collect(
+            (indices, cs * ct * c)
+            for s, cs in a.terms.items()
+            for t, ct in b.terms.items()
+            for indices, c in _reduce_monomial(g, _exponents(g, s + t))
+        ),
+    )
 
 
 def top_degree(g: int) -> int:
@@ -518,26 +518,17 @@ def _ideal_slice_rref(g: int, w: int):
     columns = non_basis + basis
     col_index = {m: j for j, m in enumerate(columns)}
 
-    generators: List[Dict[ExponentVector, Fraction]] = []
-    for k in range(1, g):
-        rel = relation(k, g)
-        for m in monomials_of_weight(g, w - 2 * k):
-            product: Dict[ExponentVector, Fraction] = {}
-            for e, c in rel.terms.items():
-                key = tuple(a + b for a, b in zip(e, m))
-                product[key] = product.get(key, Fraction(0)) + c
-            generators.append(product)
-    lambda_g_exps = tuple([0] * (g - 1) + [1])
-    for m in monomials_of_weight(g, w - g):
-        key = tuple(a + b for a, b in zip(lambda_g_exps, m))
-        generators.append({key: Fraction(1)})
-
+    # The ideal slice is spanned by the weight-w multiples of each relation
+    # and of lambda_g, formed by polynomial multiplication (no rewriting).
+    ideal = [(relation(k, g), 2 * k) for k in range(1, g)]
+    ideal.append((LambdaPolynomial.generator(g, g), g))
     rows = []
-    for gen in generators:
-        row = [Fraction(0)] * len(columns)
-        for e, c in gen.items():
-            row[col_index[e]] = c
-        rows.append(row)
+    for gen, weight in ideal:
+        for m in monomials_of_weight(g, w - weight):
+            row = [0] * len(columns)
+            for e, c in (gen * LambdaPolynomial(g, {m: 1})).terms.items():
+                row[col_index[e]] = c
+            rows.append(row)
     if rows:
         reduced, pivots = rref(rows)
     else:
@@ -572,9 +563,9 @@ def oracle_reduce(p: LambdaPolynomial) -> TautClass:
         raise ValueError(f"weight {w} exceeds the socle degree {top_degree(g)}")
 
     columns, col_index, n_non_basis, pivot_rows = _ideal_slice_rref(g, w)
-    vector = [Fraction(0)] * len(columns)
+    vector = [0] * len(columns)
     for e, c in p.terms.items():
-        vector[col_index[e]] += c
+        vector[col_index[e]] = c
     for pivot, row in sorted(pivot_rows.items()):
         factor = vector[pivot]
         if factor != 0:
@@ -585,7 +576,7 @@ def oracle_reduce(p: LambdaPolynomial) -> TautClass:
                 f"square-free monomials fail to span the quotient at "
                 f"(g={g}, w={w}); the presentation would be inconsistent"
             )
-    terms: Dict[IndexTuple, Fraction] = {}
+    terms = {}
     for j in range(n_non_basis, len(columns)):
         if vector[j] != 0:
             exps = columns[j]

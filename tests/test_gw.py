@@ -31,6 +31,8 @@ def test_conjecture_prediction():
     supplied = 2 * triple_hodge_integral(2)
     assert conjecture_prediction(2, 1, 1, supplied) == gw_tau1_lambda(2, 1)
     assert conjecture_prediction(3, 2, 1, 4 * triple_hodge_integral(3)) == gw_tau1_lambda(3, 2)
+    with pytest.raises(TypeError):
+        conjecture_prediction(2, 1, 1, 0.5)
 
 
 def test_consistency_chain():

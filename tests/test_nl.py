@@ -179,6 +179,8 @@ def test_qseries_interface():
         series.coefficient(4)
     with pytest.raises(ValueError):
         QSeries([])
+    with pytest.raises(TypeError):
+        QSeries([1, 0.1])
 
 
 # -- ring-level vanishing -------------------------------------------------------
@@ -230,6 +232,11 @@ def test_expression_rejects_triple_products():
         NLExpression(2, [(Fraction(1), (("NL", (2,)), ("NLt", (1,)), ("P", (1,))))])
 
 
+def test_expression_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        NLExpression(2, [(0.5, (("NL", (2,)),))])
+
+
 def test_taut_projection_examples():
     # product of two NL-supported symbols projects to zero
     assert taut_projection(parse_expression(2, "NL(2) * NLt(3)")).is_zero()
@@ -249,6 +256,13 @@ def test_taut_projection_more_cases():
     assert lhs == multiply(taut(4, (2,)), taut_nl(4, (1, 2)))
     with pytest.raises(ValueError, match="out of scope"):
         taut_projection(parse_expression(6, "NL(1,1,1)"))
+
+
+def test_taut_projection_product_is_symmetric():
+    lam_first = taut_projection(parse_expression(4, "L(1) * NL(2)"))
+    nl_first = taut_projection(parse_expression(4, "NL(2) * L(1)"))
+    assert not lam_first.is_zero()
+    assert lam_first == nl_first == multiply(taut(4, (1,)), taut_nl(4, (2,)))
 
 
 def test_homomorphism_property_on_nl_pairs():

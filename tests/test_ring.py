@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from agtaut.ring import (
     LambdaPolynomial,
     TautClass,
+    _reduce_monomial,
     graded_dimension,
     monomials_of_weight,
     multiply,
@@ -140,6 +142,15 @@ def test_lambda_polynomial_rejects_bad_generators():
         LambdaPolynomial.monomial(3, (5,))
 
 
+def test_ring_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        TautClass.monomial(3, (1,), 0.5)
+    with pytest.raises(TypeError):
+        LambdaPolynomial(3, {(1, 0, 0): 0.1})
+    with pytest.raises(TypeError):
+        0.5 * taut(3, (1,))
+
+
 def test_tautclass_validation():
     with pytest.raises(ValueError):
         TautClass(3, {(3,): Fraction(1)})  # index g is not a basis index
@@ -215,6 +226,38 @@ def test_oracle_agrees_with_rewriting_small_genus():
             for exps in monomials_of_weight(g, w):
                 p = LambdaPolynomial(g, {exps: Fraction(1)})
                 assert reduce(p) == oracle_reduce(p), (g, exps)
+
+
+def test_normal_forms_run_on_int_and_surface_as_fraction():
+    for g in range(2, 7):
+        for w in range(top_degree(g) + 3):
+            for exps in monomials_of_weight(g, w):
+                assert all(type(c) is int for _, c in _reduce_monomial(g, exps)), (g, exps)
+    values = list(reduce(mono(4, (1, 1, 1))).terms.values())
+    values += multiply(taut(4, (1,)), taut(4, (1, 2))).terms.values()
+    values += [socle_pair(taut(4, (1, 2)), taut(4, (3,)))]
+    values += [x for row in pairing_matrix(4, 3).entries for x in row]
+    assert values and all(type(c) is Fraction for c in values)
+
+
+def _shifted_staircase_tableaux(m):
+    # Thrall's count of shifted standard tableaux of shape (m, m-1, ..., 1):
+    # n! / prod(l_i!) * prod_{i<j} (l_i - l_j) / (l_i + l_j).
+    parts = range(m, 0, -1)
+    value = Fraction(factorial(sum(parts)))
+    for i, a in enumerate(parts):
+        value /= factorial(a)
+        for b in parts[i + 1 :]:
+            value *= Fraction(a - b, a + b)
+    return value
+
+
+def test_lambda_1_power_matches_closed_form():
+    # Third oracle, closed form, beyond the linear-algebra oracle's genus cap.
+    for g in range(2, 13):
+        expected = 2 ** ((g - 1) * (g - 2) // 2) * _shifted_staircase_tableaux(g - 1)
+        power = reduce(mono(g, [1] * top_degree(g)))
+        assert power == taut(g, tuple(range(1, g)), expected), g
 
 
 def test_mumford_relation_reduces_to_zero():
