@@ -26,16 +26,20 @@ The forgetful cover that drops the level structure has degree
 
 which for delta = (p) is the order of SL_2(F_p), the group of symplectic
 automorphisms of the kernel.
+
+The closed forms evaluate each prime product as J_s(n) / n^s (Jacobi
+totient); the stratified route and the isotropic tuple count keep their own.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, jacobi_totient
 from .nl import _as_type, _chain_correction, nl_constant
 
 # Enumeration caps.  AGTAUT_ORACLE_CAP may lower (or restore) them, but
@@ -98,6 +102,8 @@ def sp_order(g: int, N: int) -> int:
 
     For a prime power p^k the order is p^((2g^2+g)(k-1)) |Sp_2g(F_p)|.
     """
+    if g < 1:
+        raise ValueError(f"g must be >= 1, got {g}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     order = 1
@@ -138,27 +144,27 @@ def isotropic_tuple_count(g: int, h: int, p: int) -> int:
 
 
 def deg_phi_special(g: int, k: int, h: int, d: int) -> DegreeResult:
-    """Degree for delta = (1^k, d^h): d^(h(2g+1)) prod_{p|d} prod_{i=g-h+1}^{g} (1 - p^(-2i))."""
+    """Degree for delta = (1^k, d^h): d^(h(2g+1)) prod_{p|d} prod_{i=g-h+1}^{g} (1 - p^(-2i))
+    = prod_{i=g-h+1}^{g} d^(2g+1-2i) J_2i(d)."""
     if k + h != g:
         raise ValueError(f"k + h must equal g, got {k} + {h} != {g}")
-    if h < 1 or d < 1:
-        raise ValueError(f"requires h >= 1 and d >= 1, got h={h}, d={d}")
-    value = Fraction(d) ** (h * (2 * g + 1))
-    for p in factorize(d).primes():
-        for i in range(g - h + 1, g + 1):
-            value *= 1 - Fraction(p) ** (-2 * i)
-    return DegreeResult(value, ROUTE_CLOSED)
+    if k < 0 or h < 1 or d < 1:
+        raise ValueError(f"requires k >= 0, h >= 1 and d >= 1, got k={k}, h={h}, d={d}")
+    value = math.prod(
+        d ** (2 * g + 1 - 2 * i) * jacobi_totient(2 * i, d) for i in range(g - h + 1, g + 1)
+    )
+    return DegreeResult(Fraction(value), ROUTE_CLOSED)
 
 
 def deg_phi(g: int, delta) -> DegreeResult:
     """Closed-form degree for an arbitrary chain (shorter chains are padded
-    with leading 1 entries up to length g)."""
+    with leading 1 entries up to length g): prod_j d_j^(2g+1-2j) J_2j(d_j)."""
     delta = _as_type(delta).padded(g)
-    value = Fraction(delta.product) ** (2 * g + 1)
-    for j, d_j in enumerate(delta.entries, start=1):
-        for p in factorize(d_j).primes():
-            value *= 1 - Fraction(p) ** (-2 * j)
-    return DegreeResult(value, ROUTE_CLOSED)
+    value = math.prod(
+        d_j ** (2 * g + 1 - 2 * j) * jacobi_totient(2 * j, d_j)
+        for j, d_j in enumerate(delta.entries, start=1)
+    )
+    return DegreeResult(Fraction(value), ROUTE_CLOSED)
 
 
 # -- stratified route -------------------------------------------------------
@@ -233,19 +239,13 @@ def deg_phi_stratified(g: int, delta, p: int) -> DegreeResult:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     delta = _as_type(delta).padded(g)
-    exponents = []
-    for d in delta.entries:
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        if d != 1:
-            raise ValueError(
-                f"chain {delta} mixes primes; stratify one prime at a time "
-                f"and combine multiplicatively"
-            )
-        exponents.append(e)
-    shape = ScaledMatrixShape(g, p, tuple(exponents))
+    exponents = tuple(factorize(d).v(p) for d in delta.entries)
+    if delta.product != p ** sum(exponents):
+        raise ValueError(
+            f"chain {delta} mixes primes; stratify one prime at a time "
+            f"and combine multiplicatively"
+        )
+    shape = ScaledMatrixShape(g, p, exponents)
     value = Fraction(p) ** shape.total_exponent()
     for i in range(g - shape.h + 1, g + 1):
         value *= 1 - Fraction(p) ** (-2 * i)
@@ -365,7 +365,7 @@ def nl_composition(g: int, delta) -> Dict[str, object]:
     constant = nl_constant(g, delta)
     composed = (
         deg_phi(u, delta).value
-        * deg_phi(g - u, delta.complementary(g)).value
+        * deg_phi(g - u, delta.padded(g - u)).value
         / deg_pi(u, delta).value
     )
     return {"constant": constant, "composed": composed, "match": constant == composed}

@@ -13,7 +13,8 @@ multiplier is
 
 with d = d_1 ... d_u and all products over primes.  The two displayed
 specializations (u = 1 and u = 2) are implemented as separate code paths
-purely to cross-check this constant.
+purely to cross-check this constant.  Each prime product is evaluated as a
+Jacobi totient ratio, prod_{p | n} (1 - p^(-s)) = J_s(n) / n^s.
 
 The elliptic-homomorphism ("tilde") cycles are related to the plain ones by
 the unit-triangular divisor-sum transform with kernel sigma_1(d / dhat);
@@ -33,11 +34,13 @@ anywhere in this module.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
+from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from .arith import abs_bernoulli, as_rational, bernoulli, divisors, factorize, sigma
+from .arith import abs_bernoulli, as_rational, bernoulli, divisors, factorize, jacobi_totient, sigma
 from .linalg import Matrix, invert
 from .ring import LambdaPolynomial, TautClass, multiply, reduce
 
@@ -67,25 +70,7 @@ class PolarizationType:
 
     @property
     def product(self) -> int:
-        result = 1
-        for d in self.entries:
-            result *= d
-        return result
-
-    def complementary(self, g: int) -> "PolarizationType":
-        """Type induced on the complementary subvariety: (1^(g-2u), d_1, ..., d_u)."""
-        if 2 * self.u > g:
-            raise ValueError(f"type {self.entries} too long for genus {g}")
-        return PolarizationType((1,) * (g - 2 * self.u) + self.entries)
-
-    def double(self, g: int) -> "PolarizationType":
-        """(1^(g-2u), d_1, d_1, ..., d_u, d_u)."""
-        if 2 * self.u > g:
-            raise ValueError(f"type {self.entries} too long for genus {g}")
-        doubled: Tuple[int, ...] = ()
-        for d in self.entries:
-            doubled += (d, d)
-        return PolarizationType((1,) * (g - 2 * self.u) + doubled)
+        return math.prod(self.entries)
 
     def padded(self, length: int) -> "PolarizationType":
         """Left-pad with 1 entries up to the given length."""
@@ -95,23 +80,10 @@ class PolarizationType:
 
     def p_part(self, p: int) -> "PolarizationType":
         """Entrywise p-power part; again a divisibility chain."""
-        parts = []
-        for d in self.entries:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            parts.append(p**e)
-        return PolarizationType(parts)
+        return PolarizationType(p ** factorize(d).v(p) for d in self.entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolarizationType) and self.entries == other.entries
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __repr__(self) -> str:
         return f"PolarizationType({list(self.entries)})"
@@ -208,34 +180,34 @@ def taut_product_cycle(g: int, u: int) -> TautClass:
 
 def _chain_correction(delta: PolarizationType) -> Fraction:
     """prod_k d_k^(2n - 4k + 2) * prod_{1 <= i < j <= n} prod_{p | d_j / d_i}
-    (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1))), with n the chain length."""
+    (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1))), with n the chain length; the
+    pair factor is r^2 J_{2(j-i)}(r) / J_{2(j-i+1)}(r) with r = d_j / d_i."""
     entries = delta.entries
     n = len(entries)
     c = Fraction(1)
     for k, d_k in enumerate(entries, start=1):
         c *= Fraction(d_k) ** (2 * n - 4 * k + 2)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ratio = entries[j - 1] // entries[i - 1]
-            for p in factorize(ratio).primes():
-                c *= (1 - Fraction(p) ** (-2 * (j - i))) / (
-                    1 - Fraction(p) ** (-2 * (j - i + 1))
-                )
+    for (i, d_i), (j, d_j) in combinations(enumerate(entries), 2):
+        r = d_j // d_i
+        s = 2 * (j - i)
+        c *= Fraction(r * r * jacobi_totient(s, r), jacobi_totient(s + 2, r))
     return c
 
 
 def nl_constant(g: int, delta) -> Fraction:
-    """Multiplier relating the NL projection to the product-cycle projection."""
+    """Multiplier relating the NL projection to the product-cycle projection.
+
+    The factor d^(2(g-u)+1) prod_{j=1}^{u} prod_{p | d_j} (1 - p^(-2(j+g-2u)))
+    is the int prod_j d_j^(2u+1-2j) J_{2(j+g-2u)}(d_j).
+    """
     delta = _as_type(delta)
     u = delta.u
     if 2 * u > g:
         raise ValueError(f"type {delta} too long for genus {g}")
-    c = _chain_correction(delta)
-    c *= Fraction(delta.product) ** (2 * (g - u) + 1)
-    for j in range(1, u + 1):
-        for p in factorize(delta.entries[j - 1]).primes():
-            c *= 1 - Fraction(p) ** (-2 * (j + g - 2 * u))
-    return c
+    return _chain_correction(delta) * math.prod(
+        d_j ** (2 * u + 1 - 2 * j) * jacobi_totient(2 * (j + g - 2 * u), d_j)
+        for j, d_j in enumerate(delta.entries, start=1)
+    )
 
 
 def taut_nl(g: int, delta) -> TautClass:
@@ -247,34 +219,33 @@ def taut_nl(g: int, delta) -> TautClass:
 def taut_nl_d_special(g: int, d: int) -> TautClass:
     """The displayed u = 1 projection, computed without nl_constant:
 
-    (g d^(2g-1) / (6 |B_2g|)) prod_{p | d} (1 - p^(2-2g)) lambda_{g-1}.
+    (g d^(2g-1) / (6 |B_2g|)) prod_{p | d} (1 - p^(2-2g)) lambda_{g-1}
+    = (g d J_{2g-2}(d) / (6 |B_2g|)) lambda_{g-1}.
     """
     if g < 2 or d < 1:
         raise ValueError(f"requires g >= 2 and d >= 1, got ({g}, {d})")
-    coeff = Fraction(g) * Fraction(d) ** (2 * g - 1) / (6 * abs_bernoulli(2 * g))
-    for p in factorize(d).primes():
-        coeff *= 1 - Fraction(p) ** (2 - 2 * g)
+    coeff = Fraction(g * d * jacobi_totient(2 * g - 2, d)) / (6 * abs_bernoulli(2 * g))
     return TautClass.monomial(g, (g - 1,), coeff)
 
 
 def taut_nl_pair_special(g: int, d1: int, d2: int) -> TautClass:
-    """The displayed u = 2 projection, computed without nl_constant."""
+    """The displayed u = 2 projection, computed without nl_constant:
+
+    (g (g-1) d1^(2g-1) d2^(2g-5) / (360 |B_2g B_{2g-2}|))
+        * prod_{p | d1} (1 - p^(6-2g)) * prod_{p | d2} (1 - p^(4-2g))
+        * prod_{p | r} (1 - p^(-2)) / (1 - p^(-4))      (r = d2 / d1)
+    = g (g-1) d1^3 d2 J_{2g-6}(d1) J_{2g-4}(d2) J_2(r)
+        / (360 |B_2g B_{2g-2}| J_4(r))  times lambda_{g-3} lambda_{g-1}.
+    """
     if g < 4:
         raise ValueError(f"pair projection requires g >= 4, got {g}")
     if d1 < 1 or d2 % d1 != 0:
         raise ValueError(f"requires d1 | d2, got ({d1}, {d2})")
-    coeff = (
-        Fraction(g * (g - 1))
-        * Fraction(d1) ** (2 * g - 1)
-        * Fraction(d2) ** (2 * g - 5)
-        / (360 * abs_bernoulli(2 * g) * abs_bernoulli(2 * g - 2))
+    r = d2 // d1
+    totients = jacobi_totient(2 * g - 6, d1) * jacobi_totient(2 * g - 4, d2) * jacobi_totient(2, r)
+    coeff = Fraction(g * (g - 1) * d1**3 * d2 * totients, jacobi_totient(4, r)) / (
+        360 * abs_bernoulli(2 * g) * abs_bernoulli(2 * g - 2)
     )
-    for p in factorize(d1).primes():
-        coeff *= 1 - Fraction(p) ** (6 - 2 * g)
-    for p in factorize(d2).primes():
-        coeff *= 1 - Fraction(p) ** (4 - 2 * g)
-    for p in factorize(d2 // d1).primes():
-        coeff *= (1 - Fraction(p) ** (-2)) / (1 - Fraction(p) ** (-4))
     return TautClass.monomial(g, (g - 3, g - 1), coeff)
 
 

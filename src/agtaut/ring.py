@@ -295,11 +295,6 @@ class TautClass(_SparseTerms):
     def monomial(cls, g: int, indices: Iterable[int], coeff=1) -> "TautClass":
         return cls(g, {tuple(sorted(indices)): coeff})
 
-    def to_polynomial(self) -> LambdaPolynomial:
-        return LambdaPolynomial(
-            self.g, {_exponents(self.g, s): c for s, c in self.terms.items()}
-        )
-
     # -- arithmetic -----------------------------------------------------
 
     def _multiply(self, other: "TautClass") -> "TautClass":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Callable, Dict, List, Optional
 
 from . import degrees, gw, nl, ring
@@ -206,7 +207,7 @@ def check_isogeny_degrees() -> str:
                 )
     for g in range(1, 5):
         for p in (2, 3):
-            for chain in _prime_power_chains(g, 3):
+            for chain in combinations_with_replacement(range(4), g):
                 delta = tuple(p**v for v in chain)
                 _demand(
                     suite,
@@ -263,21 +264,6 @@ def check_isogeny_degrees() -> str:
             degrees.sp_order_prime(1, p),
         )
     return "special/general, stratified, oracle, isotropic counts and pi degrees agree"
-
-
-def _prime_power_chains(length: int, max_exp: int) -> List[tuple]:
-    chains: List[tuple] = []
-
-    def build(acc: tuple) -> None:
-        if len(acc) == length:
-            chains.append(acc)
-            return
-        low = acc[-1] if acc else 0
-        for v in range(low, max_exp + 1):
-            build(acc + (v,))
-
-    build(())
-    return chains
 
 
 # -- 7. Gromov-Witten consistency chain ----------------------------------------

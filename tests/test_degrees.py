@@ -1,8 +1,11 @@
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+import displayed_forms
+from agtaut.cli import run
 from agtaut.degrees import (
     DegreeResult,
     ROUTE_CLOSED,
@@ -48,6 +51,15 @@ def test_sp_order_values():
     assert sp_order(1, 6) == 144
 
 
+def test_sp_order_rejects_genus_below_one():
+    for g in (0, -3):
+        with pytest.raises(ValueError, match="g must be >= 1"):
+            sp_order(g, 1)
+        err = io.StringIO()
+        assert run(["sp-order", "--g", str(g), "--n", "1"], out=io.StringIO(), err=err) == 1
+        assert "g must be >= 1" in err.getvalue()
+
+
 def test_sp_order_against_enumeration_all_small_moduli():
     for N in range(1, 17):
         assert sp_order(1, N) == sl2_order_enumerated(N), N
@@ -73,6 +85,8 @@ def test_deg_phi_special_values():
     assert int(deg_phi_special(2, 1, 1, 2)) == 30
     with pytest.raises(ValueError):
         deg_phi_special(3, 1, 1, 2)  # k + h != g
+    with pytest.raises(ValueError, match="k >= 0"):
+        deg_phi_special(1, -1, 2, 1)
 
 
 def test_deg_phi_values():
@@ -90,6 +104,22 @@ def test_deg_phi_special_equals_general():
             for h in range(1, g + 1):
                 delta = (1,) * (g - h) + (d,) * h
                 assert deg_phi_special(g, g - h, h, d).value == deg_phi(g, delta).value
+
+
+def test_closed_forms_match_displayed_forms():
+    rng = random.Random(7)
+    for g in range(1, 8):
+        for _ in range(60):
+            chain = displayed_forms.random_chain(rng, rng.randint(1, g))
+            padded = (1,) * (g - len(chain)) + chain
+            phi = displayed_forms.deg_phi(g, padded)
+            assert deg_phi(g, chain).value == phi, (g, chain)
+            pi = phi * displayed_forms.chain_correction(padded)
+            assert deg_pi(g, chain).value == pi, (g, chain)
+        for h in range(1, g + 1):
+            for d in range(1, 40):
+                expected = displayed_forms.deg_phi_special(g, h, d)
+                assert deg_phi_special(g, g - h, h, d).value == expected, (g, h, d)
 
 
 # -- stratified route --------------------------------------------------------------

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import displayed_forms
 from agtaut.linalg import identity, mat_mul
 from agtaut.nl import (
     NLExpression,
@@ -42,13 +44,11 @@ def test_polarization_type_validation():
 def test_polarization_type_derived():
     delta = PolarizationType((1, 2))
     assert delta.u == 2 and delta.product == 2
-    assert delta.complementary(6).entries == (1, 1, 1, 2)
-    assert delta.double(6).entries == (1, 1, 1, 1, 2, 2)
     assert delta.padded(4).entries == (1, 1, 1, 2)
     assert PolarizationType((2, 12)).p_part(2).entries == (2, 4)
     assert PolarizationType((2, 12)).p_part(3).entries == (1, 3)
     with pytest.raises(ValueError):
-        delta.complementary(3)  # u > g/2
+        delta.padded(1)  # u > length
 
 
 # -- product cycles ---------------------------------------------------------
@@ -78,6 +78,27 @@ def test_nl_constant_examples():
     assert nl_constant(4, (1, 2)) == 6
     with pytest.raises(ValueError):
         nl_constant(3, (1, 2))  # u > g/2
+
+
+def test_nl_constant_matches_displayed_form():
+    rng = random.Random(2024)
+    for _ in range(400):
+        u = rng.randint(1, 4)
+        g = rng.randint(2 * u, 2 * u + 6)
+        chain = displayed_forms.random_chain(rng, u)
+        assert nl_constant(g, chain) == displayed_forms.nl_constant(g, chain), (g, chain)
+
+
+def test_specializations_match_displayed_forms():
+    for g in range(2, 13):
+        for d in range(1, 200):
+            expected = displayed_forms.nl_d_special_coeff(g, d)
+            assert taut_nl_d_special(g, d) == taut(g, (g - 1,), expected), (g, d)
+    for g in range(4, 13):
+        for d2 in range(1, 60):
+            for d1 in (d for d in range(1, d2 + 1) if d2 % d == 0):
+                expected = displayed_forms.nl_pair_special_coeff(g, d1, d2)
+                assert taut_nl_pair_special(g, d1, d2) == taut(g, (g - 3, g - 1), expected)
 
 
 def test_taut_nl_examples():
