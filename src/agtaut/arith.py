@@ -37,11 +37,12 @@ def as_rational(value) -> Fraction:
 class Factorization:
     """Prime factorization of a positive integer, primes strictly increasing."""
 
-    __slots__ = ("base", "factors")
+    __slots__ = ("base", "factors", "_divisors")
 
     def __init__(self, base: int, factors: Tuple[Tuple[int, int], ...]):
         self.base = base
         self.factors = factors
+        self._divisors = None
 
     def primes(self) -> Tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -54,10 +55,14 @@ class Factorization:
         return 0
 
     def divisors(self) -> Tuple[int, ...]:
-        divs = [1]
-        for p, e in self.factors:
-            divs = [d * p**i for d in divs for i in range(e + 1)]
-        return tuple(sorted(divs))
+        """Sorted divisors, built on first use and kept: ``factorize`` is
+        cached, so each n sorts its divisors once."""
+        if self._divisors is None:
+            divs = [1]
+            for p, e in self.factors:
+                divs = [d * p**i for d in divs for i in range(e + 1)]
+            self._divisors = tuple(sorted(divs))
+        return self._divisors
 
     def __eq__(self, other) -> bool:
         return (

@@ -26,6 +26,18 @@ The socle pairing implemented here is normalized so that the socle monomial
 lambda_1 ... lambda_{g-1} pairs with 1 to 1.  This is proportional to the
 geometric integral pairing, which is all that perfection checks require;
 no absolute normalization is supplied.
+
+Perfection is proved by a certificate on the pairing matrix's own entries,
+with no elimination.  Let q(S) = sum_{i in S} i^2 and let S^c be the
+complement of S in {1, ..., g-1}.  Under van der Geer's identification of
+the ring with H*(LG_{g-1}) (1999), lambda_S is the Schubert class sigma_S
+plus classes sigma_mu with q(mu) > q(S), and sigma_S pairs with sigma_T to
+1 when T = S^c and to 0 otherwise.  Hence <lambda_S, lambda_{S^c}> = 1, and
+<lambda_S, lambda_T> = 0 for every other T with q(T) >= q(S^c).  A matrix
+with that zero pattern, its columns re-indexed by complement and ordered by
+q, is unitriangular, so its determinant is +-1.  PairingMatrix checks the
+pattern entry by entry, so the proof does not rest on the identification,
+and falls back to exact elimination for a matrix that lacks it.
 """
 
 from __future__ import annotations
@@ -427,12 +439,24 @@ def socle_pair(a: TautClass, b: TautClass) -> Fraction:
 
 
 class PairingMatrix:
-    """Socle pairing between complementary graded pieces."""
+    """Socle pairing between complementary graded pieces.
+
+    Rows are the degree-k basis sets S, columns the degree top-k sets T,
+    and the entry is <lambda_S, lambda_T>.  ``is_certified`` proves the
+    matrix nonsingular without arithmetic: with q(T) = sum of i^2 over T
+    and S^c the complement of S in {1, ..., g-1}, every row S must hold
+    exactly 1 at column S^c and be zero at every other column T with
+    q(T) >= q(S^c).  Columns re-indexed by complement and ordered by
+    decreasing q then form a unitriangular matrix, so the determinant is
+    +-1.  ``is_nonsingular`` tries that certificate first and falls back to
+    exact elimination only when it fails.
+    """
 
     __slots__ = ("g", "k", "rows", "cols", "entries")
 
     def __init__(self, g, k, rows, cols, entries):
-        if len(rows) != len(cols):
+        n = len(cols)
+        if len(rows) != n or len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError("pairing matrix must be square")
         self.g = g
         self.k = k
@@ -440,11 +464,26 @@ class PairingMatrix:
         self.cols = cols
         self.entries = entries
 
+    def is_certified(self) -> bool:
+        """True when the +-1 triangularity certificate holds (a proof of
+        nonsingularity); False says nothing either way."""
+        col_index = {t: j for j, t in enumerate(self.cols)}
+        q = [sum(i * i for i in t) for t in self.cols]
+        diagonal = set()
+        for s, row in zip(self.rows, self.entries):
+            j = col_index.get(tuple(i for i in range(1, self.g) if i not in s))
+            # Distinct complement columns make S -> S^c a bijection onto the
+            # columns, which the triangular reordering needs.
+            if j is None or j in diagonal or row[j] != 1:
+                return False
+            diagonal.add(j)
+            bound = q[j]
+            if any(x and q[c] >= bound and c != j for c, x in enumerate(row)):
+                return False
+        return True
+
     def is_nonsingular(self) -> bool:
-        if not self.rows:
-            # Degree out of range on both sides: vacuously perfect.
-            return True
-        return is_nonsingular([list(r) for r in self.entries])
+        return self.is_certified() or is_nonsingular([list(r) for r in self.entries])
 
     def __str__(self) -> str:
         fmt = lambda s: "[" + ",".join(map(str, s)) + "]"

@@ -15,7 +15,8 @@ CRITERIA = [
     # 1. rewriting normal form equals the linear-algebra oracle:
     #    exhaustively for g <= 5, on 200 random polynomials for g = 6
     ("ring-normal-form", 1),
-    # 2. pairing matrices nonsingular for g <= 6; graded dimension symmetry g <= 10
+    # 2. pairing matrices certified +-1 unitriangular for g <= 9, full rank
+    #    by elimination for g <= 6; graded dimension symmetry g <= 10
     ("perfect-pairing", 2),
     # 3. total Chern relation vanishes (g <= 8); top lambda squares to 0 (g <= 10)
     ("mumford-relation", 3),

@@ -180,6 +180,10 @@ def test_is_prime():
 def test_divisors():
     assert divisors(1) == (1,)
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
+    for n in range(1, 2001):
+        expected = tuple(d for d in range(1, n + 1) if n % d == 0)
+        assert divisors(n) == expected, n
+        assert divisors(n) == expected, n  # served from the cached factorization
 
 
 def test_multiplicativity_on_coprime_pairs():

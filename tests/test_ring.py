@@ -4,8 +4,10 @@ from math import factorial
 
 import pytest
 
+from agtaut.linalg import is_nonsingular
 from agtaut.ring import (
     LambdaPolynomial,
+    PairingMatrix,
     TautClass,
     _reduce_monomial,
     graded_dimension,
@@ -191,6 +193,8 @@ def test_pairing_matrix_examples():
     assert m.rows == ((1, 4), (2, 3), (5,)) and m.is_nonsingular()
     with pytest.raises(ValueError):
         pairing_matrix(4, 7)
+    with pytest.raises(ValueError):
+        PairingMatrix(3, 1, ((1,),), ((2,),), [[1, 0]])  # entries not square
 
 
 def test_pairing_matrix_json():
@@ -198,6 +202,36 @@ def test_pairing_matrix_json():
     assert data["nonsingular"] is True
     assert data["rows"] == [[1, 2], [3]]
     assert all(isinstance(x, str) for row in data["entries"] for x in row)
+
+
+def test_pairing_certificate_agrees_with_rank():
+    for g in range(2, 10):
+        for k in range(top_degree(g) + 1):
+            m = pairing_matrix(g, k)
+            assert m.is_certified(), (g, k)
+            assert is_nonsingular([list(row) for row in m.entries]), (g, k)
+
+
+def _perturbed(m, row, col, value):
+    entries = [list(r) for r in m.entries]
+    entries[m.rows.index(row)][m.cols.index(col)] = Fraction(value)
+    return PairingMatrix(m.g, m.k, m.rows, m.cols, entries)
+
+
+def test_pairing_certificate_rejects_perturbed_matrices():
+    m = pairing_matrix(7, 10)
+    assert m.is_certified()
+    # Complement entry 2: no certificate, but the determinant is +-2.
+    doubled = _perturbed(m, (1, 2, 3, 4), (5, 6), 2)
+    assert not doubled.is_certified() and doubled.is_nonsingular()
+    # Nonzero entry at T = (2,4,5) in row S = (4,6): q(T) = 45 >= q(S^c) = 39.
+    assert not _perturbed(m, (4, 6), (2, 4, 5), 1).is_certified()
+    # A duplicated row, with or without its label, is singular.
+    entries = [list(r) for r in m.entries]
+    entries[1] = entries[0]
+    for rows in (m.rows, (m.rows[0],) * 2 + m.rows[2:]):
+        dup = PairingMatrix(m.g, m.k, rows, m.cols, entries)
+        assert not dup.is_certified() and not dup.is_nonsingular()
 
 
 # -- oracle --------------------------------------------------------------------
