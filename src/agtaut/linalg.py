@@ -20,11 +20,12 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert all(len(r) == inner for r in a)
+    inner, cols = len(b), len(b[0]) if b else 0
+    if any(len(r) != inner for r in a) or any(len(r) != cols for r in b):
+        raise ValueError("matrix shapes do not match")
     return [
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
+        for i in range(len(a))
     ]
 
 

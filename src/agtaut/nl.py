@@ -239,6 +239,8 @@ def taut_nl_pair_special(g: int, d1: int, d2: int) -> TautClass:
     """
     if g < 4:
         raise ValueError(f"pair projection requires g >= 4, got {g}")
+    if d2 < 1:
+        raise ValueError(f"requires d2 >= 1, got d2={d2}")
     if d1 < 1 or d2 % d1 != 0:
         raise ValueError(f"requires d1 | d2, got ({d1}, {d2})")
     r = d2 // d1

@@ -483,7 +483,7 @@ class PairingMatrix:
         return True
 
     def is_nonsingular(self) -> bool:
-        return self.is_certified() or is_nonsingular([list(r) for r in self.entries])
+        return self.is_certified() or is_nonsingular(self.entries)
 
     def __str__(self) -> str:
         fmt = lambda s: "[" + ",".join(map(str, s)) + "]"
@@ -506,12 +506,17 @@ class PairingMatrix:
 
 
 def pairing_matrix(g: int, k: int) -> PairingMatrix:
+    """Entries are read from the normal forms: <lambda_S, lambda_T> is the
+    socle coefficient of the normal form of lambda_S lambda_T, or 0."""
     if not 0 <= k <= top_degree(g):
         raise ValueError(f"degree k={k} outside [0, {top_degree(g)}]")
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
     rows = basis_sets(g, k)
     cols = basis_sets(g, top_degree(g) - k)
+    socle = tuple(range(1, g))
     entries = [
-        [socle_pair(TautClass.monomial(g, r), TautClass.monomial(g, c)) for c in cols]
+        [Fraction(dict(_reduce_monomial(g, _exponents(g, r + c))).get(socle, 0)) for c in cols]
         for r in rows
     ]
     return PairingMatrix(g, k, rows, cols, entries)
@@ -553,15 +558,16 @@ def _ideal_slice_rref(g: int, w: int):
     col_index = {m: j for j, m in enumerate(columns)}
 
     # The ideal slice is spanned by the weight-w multiples of each relation
-    # and of lambda_g, formed by polynomial multiplication (no rewriting).
+    # and of lambda_g: each generator times a monomial m, formed by adding m
+    # to its exponent vectors (polynomial multiplication, no rewriting).
     ideal = [(relation(k, g), 2 * k) for k in range(1, g)]
     ideal.append((LambdaPolynomial.generator(g, g), g))
     rows = []
     for gen, weight in ideal:
         for m in monomials_of_weight(g, w - weight):
             row = [0] * len(columns)
-            for e, c in (gen * LambdaPolynomial(g, {m: 1})).terms.items():
-                row[col_index[e]] = c
+            for e, c in gen.terms.items():
+                row[col_index[tuple(map(add, e, m))]] = c
             rows.append(row)
     if rows:
         reduced, pivots = rref(rows)

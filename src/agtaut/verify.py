@@ -2,8 +2,9 @@
 
 Each suite checks one of the package's headline identities exactly, at the
 full advertised ranges, and raises VerificationFailure with both sides
-rendered exactly on the first violation.  The CLI `verify` subcommand and
-the acceptance tests both run these.
+rendered exactly on the first violation.  A suite's name lives only in
+CHECKS, where run_suites reads it to label the suite's result line.  The
+CLI `verify` subcommand and the acceptance tests both run these.
 """
 
 from __future__ import annotations
@@ -20,33 +21,28 @@ from .linalg import is_nonsingular
 
 
 class VerificationFailure(Exception):
-    def __init__(self, suite: str, context: str, lhs: str, rhs: str):
-        self.suite = suite
+    def __init__(self, context: str, lhs: str, rhs: str):
         self.context = context
         self.lhs = lhs
         self.rhs = rhs
-        super().__init__(
-            f"{suite}: {context}\n  lhs = {lhs}\n  rhs = {rhs}"
-        )
+        super().__init__(f"{context}\n  lhs = {lhs}\n  rhs = {rhs}")
 
 
-def _demand(suite: str, context: str, lhs, rhs) -> None:
+def _demand(context: str, lhs, rhs) -> None:
     if lhs != rhs:
-        raise VerificationFailure(suite, context, str(lhs), str(rhs))
+        raise VerificationFailure(context, str(lhs), str(rhs))
 
 
 # -- 1. ring normal form vs linear-algebra oracle ----------------------------
 
 
 def check_ring_normal_form() -> str:
-    suite = "ring-normal-form"
     compared = 0
     for g in range(2, 6):
         for w in range(0, ring.top_degree(g) + 1):
             for exps in ring.monomials_of_weight(g, w):
                 poly = ring.LambdaPolynomial(g, {exps: Fraction(1)})
                 _demand(
-                    suite,
                     f"monomial {exps} at g={g}, weight {w}",
                     ring.reduce(poly),
                     ring.oracle_reduce(poly),
@@ -62,7 +58,6 @@ def check_ring_normal_form() -> str:
             terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         poly = ring.LambdaPolynomial(g, terms)
         _demand(
-            suite,
             f"random polynomial #{trial} at g=6, weight {w}",
             ring.reduce(poly),
             ring.oracle_reduce(poly),
@@ -75,13 +70,11 @@ def check_ring_normal_form() -> str:
 
 
 def check_perfect_pairing() -> str:
-    suite = "perfect-pairing"
     matrices = 0
     for g in range(2, 10):
         for k in range(0, ring.top_degree(g) + 1):
             matrix = ring.pairing_matrix(g, k)
             _demand(
-                suite,
                 f"pairing matrix certified unitriangular at g={g}, k={k}",
                 matrix.is_certified(),
                 True,
@@ -89,9 +82,8 @@ def check_perfect_pairing() -> str:
             if g <= 6:
                 # Exact elimination, the certificate's independent oracle.
                 _demand(
-                    suite,
                     f"pairing matrix rank at g={g}, k={k}",
-                    is_nonsingular([list(row) for row in matrix.entries]),
+                    is_nonsingular(matrix.entries),
                     True,
                 )
             matrices += 1
@@ -99,7 +91,6 @@ def check_perfect_pairing() -> str:
         top = ring.top_degree(g)
         for k in range(0, top + 1):
             _demand(
-                suite,
                 f"graded dimension symmetry at g={g}, k={k}",
                 ring.graded_dimension(g, k),
                 ring.graded_dimension(g, top - k),
@@ -114,11 +105,9 @@ def check_perfect_pairing() -> str:
 
 
 def check_mumford_relation() -> str:
-    suite = "mumford-relation"
     for g in range(2, 9):
         product = ring.total_chern(g) * ring.total_chern_dual(g) - ring.LambdaPolynomial.one(g)
         _demand(
-            suite,
             f"c(E) c(E^v) - 1 reduces to 0 at g={g}",
             ring.reduce(product),
             ring.TautClass.zero(g),
@@ -126,7 +115,6 @@ def check_mumford_relation() -> str:
     for g in range(2, 11):
         square = ring.LambdaPolynomial.monomial(g, (g - 1, g - 1))
         _demand(
-            suite,
             f"lambda_{g - 1}^2 reduces to 0 at g={g}",
             ring.reduce(square),
             ring.TautClass.zero(g),
@@ -138,9 +126,7 @@ def check_mumford_relation() -> str:
 
 
 def check_nl_specializations() -> str:
-    suite = "nl-specializations"
     _demand(
-        suite,
         "projection of the type-(2) cycle at g=2 from the printed display",
         nl.taut_nl_d_special(2, 2),
         ring.TautClass.monomial(2, (1,), 60),
@@ -149,7 +135,6 @@ def check_nl_specializations() -> str:
     for g in range(2, 9):
         for d in range(1, 61):
             _demand(
-                suite,
                 f"u=1 specialization at g={g}, d={d}",
                 nl.taut_nl(g, (d,)),
                 nl.taut_nl_d_special(g, d),
@@ -159,7 +144,6 @@ def check_nl_specializations() -> str:
         for d2 in range(1, 13):
             for d1 in divisors(d2):
                 _demand(
-                    suite,
                     f"u=2 specialization at g={g}, (d1,d2)=({d1},{d2})",
                     nl.taut_nl(g, (d1, d2)),
                     nl.taut_nl_pair_special(g, d1, d2),
@@ -172,14 +156,12 @@ def check_nl_specializations() -> str:
 
 
 def check_eisenstein_identity() -> str:
-    suite = "eisenstein-identity"
     order = 50
     for g in range(2, 9):
         series = nl.eisenstein_series(g, order)
         scale = Fraction((-1) ** g, 24)
         for d in range(0, order + 1):
             _demand(
-                suite,
                 f"series coefficient vs tilde projection at g={g}, d={d}",
                 scale * series.coefficient(d),
                 nl.taut_nl_tilde(g, d).coefficient((g - 1,)),
@@ -194,7 +176,6 @@ def check_eisenstein_identity() -> str:
         div_sum = lambda n: sigma(1, n)
         for d in range(1, 10001):
             _demand(
-                suite,
                 f"convolution identity at g={g}, d={d}",
                 dirichlet_convolve(div_sum, scaled_totient, d),
                 sigma(2 * g - 1, d),
@@ -207,12 +188,10 @@ def check_eisenstein_identity() -> str:
 
 
 def check_isogeny_degrees() -> str:
-    suite = "isogeny-degrees"
     for g in range(1, 6):
         for d in range(1, 13):
             for h in range(1, g + 1):
                 _demand(
-                    suite,
                     f"special vs general at g={g}, k={g - h}, h={h}, d={d}",
                     degrees.deg_phi_special(g, g - h, h, d).value,
                     degrees.deg_phi(g, (1,) * (g - h) + (d,) * h).value,
@@ -222,14 +201,12 @@ def check_isogeny_degrees() -> str:
             for chain in combinations_with_replacement(range(4), g):
                 delta = tuple(p**v for v in chain)
                 _demand(
-                    suite,
                     f"stratified vs closed form at g={g}, p={p}, delta={delta}",
                     degrees.deg_phi_stratified(g, delta, p).value,
                     degrees.deg_phi(g, delta).value,
                 )
     for g, delta in ((2, (2, 6)), (2, (1, 6)), (3, (2, 12)), (3, (1, 30)), (4, (6, 6))):
         _demand(
-            suite,
             f"prime-by-prime stratified product at g={g}, delta={delta}",
             degrees.deg_phi_crt(g, delta).value,
             degrees.deg_phi(g, delta).value,
@@ -240,7 +217,6 @@ def check_isogeny_degrees() -> str:
         exponents = tuple(sorted(rng.randint(0, 4) for _ in range(g)))
         shape = degrees.ScaledMatrixShape(g, 2, exponents)
         _demand(
-            suite,
             f"stratum exponent bookkeeping #{trial} for shape {exponents} at g={g}",
             shape.total_exponent(),
             (2 * g + 1) * sum(exponents),
@@ -249,7 +225,6 @@ def check_isogeny_degrees() -> str:
         for h in range(1, g + 1):
             shape = degrees.ScaledMatrixShape(g, 2, (0,) * (g - h) + (1,) * h)
             _demand(
-                suite,
                 f"first-stratum count at g={g}, h={h}",
                 shape.n_count(1),
                 2 * g * h - h * (h - 1) // 2,
@@ -257,9 +232,8 @@ def check_isogeny_degrees() -> str:
     expected = {2: 6, 3: 24, 4: 48, 5: 120, 6: 144}
     for d, value in expected.items():
         result = degrees.oracle_index(d)
-        _demand(suite, f"enumeration oracle at d={d}", int(result), value)
+        _demand(f"enumeration oracle at d={d}", int(result), value)
         _demand(
-            suite,
             f"oracle vs closed form at d={d}",
             int(result),
             int(degrees.deg_phi(1, (d,))),
@@ -270,7 +244,6 @@ def check_isogeny_degrees() -> str:
                 degrees.isotropic_tuple_count(g, h, p)  # asserts both expressions
     for p in (2, 3, 5, 7):
         _demand(
-            suite,
             f"level cover degree vs symplectic group order at p={p}",
             int(degrees.deg_pi(1, (p,))),
             degrees.sp_order_prime(1, p),
@@ -282,9 +255,7 @@ def check_isogeny_degrees() -> str:
 
 
 def check_gw_consistency() -> str:
-    suite = "gw-consistency"
     _demand(
-        suite,
         "triple Hodge integral at g=2",
         gw.triple_hodge_integral(2),
         Fraction(1, 5760),
@@ -293,7 +264,6 @@ def check_gw_consistency() -> str:
         supplied = (2 * g - 2) * gw.triple_hodge_integral(g)
         for d in range(1, 51):
             _demand(
-                suite,
                 f"predictor reproduces the printed invariant at g={g}, d={d}",
                 gw.conjecture_prediction(g, d, 1, supplied),
                 gw.gw_tau1_lambda(g, d),
@@ -305,7 +275,6 @@ def check_gw_consistency() -> str:
 
 
 def check_projection_calculus() -> str:
-    suite = "projection-calculus"
     for g in range(2, 9):
         symbols = [("NL", (2,)), ("NLt", (1,)), ("NLt", (0,)), ("P", (1,))]
         if g >= 4:
@@ -314,7 +283,6 @@ def check_projection_calculus() -> str:
             for s2 in symbols:
                 expr = nl.NLExpression(g, [(Fraction(1), (s1, s2))])
                 _demand(
-                    suite,
                     f"projection of product {s1} * {s2} at g={g}",
                     nl.taut_projection(expr),
                     ring.TautClass.zero(g),
@@ -324,7 +292,6 @@ def check_projection_calculus() -> str:
                     nl.taut_projection(nl.NLExpression(g, [(Fraction(1), (s2,))])),
                 )
                 _demand(
-                    suite,
                     f"product of projections {s1}, {s2} at g={g}",
                     product,
                     ring.TautClass.zero(g),
@@ -332,7 +299,6 @@ def check_projection_calculus() -> str:
         lam = ring.TautClass.monomial(g, (g - 1,))
         for d in range(1, 7):
             _demand(
-                suite,
                 f"top lambda kills the u=1 projection at g={g}, d={d}",
                 ring.multiply(nl.taut_nl_d_special(g, d), lam),
                 ring.TautClass.zero(g),
@@ -344,20 +310,17 @@ def check_projection_calculus() -> str:
 
 
 def check_basis_change() -> str:
-    suite = "basis-change"
     from .linalg import identity, mat_mul
 
     D = 100
     forward = nl.tilde_to_plain(D)
     backward = nl.plain_to_tilde(D)
     _demand(
-        suite,
         f"transform roundtrip at D={D}",
         mat_mul(backward, forward),
         identity(D),
     )
     _demand(
-        suite,
         f"reverse roundtrip at D={D}",
         mat_mul(forward, backward),
         identity(D),

@@ -139,7 +139,7 @@ def test_verify_failure_prints_both_sides_and_exits_2(monkeypatch):
     from agtaut import verify as verify_module
 
     def broken():
-        raise verify_module.VerificationFailure("demo-suite", "1 equals 2", "1", "2")
+        raise verify_module.VerificationFailure("1 equals 2", "1", "2")
 
     monkeypatch.setitem(verify_module.CHECKS, "demo-suite", broken)
     code, out, _ = invoke(["verify", "--suite", "demo-suite"])

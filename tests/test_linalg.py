@@ -38,6 +38,16 @@ def test_nonsingular():
         is_nonsingular(frac_matrix([[1, 2, 3]]))
 
 
+def test_mat_mul_rejects_mismatched_shapes():
+    # python -O strips assert statements, so the shape check must raise.
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError):
+        mat_mul([[1]], [])
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1], [2, 3]])  # ragged right factor
+    assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+
 
 def exact_entries(matrix):
     return all(isinstance(x, (int, Fraction)) for row in matrix for x in row)

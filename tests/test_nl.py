@@ -101,6 +101,13 @@ def test_specializations_match_displayed_forms():
                 assert taut_nl_pair_special(g, d1, d2) == taut(g, (g - 3, g - 1), expected)
 
 
+def test_pair_special_rejects_nonpositive_d2():
+    # d1 | d2 holds for d2 = 0 and d2 = -2, so d2 needs a check of its own.
+    for d1, d2 in ((4, 0), (1, -2)):
+        with pytest.raises(ValueError, match=r"d2 >= 1, got d2=" + str(d2)):
+            taut_nl_pair_special(5, d1, d2)
+
+
 def test_taut_nl_examples():
     assert taut_nl(2, (2,)) == taut(2, (1,), 60)
     assert taut_nl(3, (1,)) == taut_product_cycle(3, 1)

@@ -197,6 +197,18 @@ def test_pairing_matrix_examples():
         PairingMatrix(3, 1, ((1,),), ((2,),), [[1, 0]])  # entries not square
 
 
+def test_pairing_entries_equal_socle_pair():
+    # pairing_matrix reads entries from the normal forms; socle_pair goes
+    # through TautClass products.  Both must give the same Fraction.
+    for g in range(1, 8):
+        for k in range(top_degree(g) + 1):
+            m = pairing_matrix(g, k)
+            for s, row in zip(m.rows, m.entries):
+                for t, x in zip(m.cols, row):
+                    assert type(x) is Fraction, (g, k, s, t)
+                    assert x == socle_pair(taut(g, s), taut(g, t)), (g, k, s, t)
+
+
 def test_pairing_matrix_json():
     data = pairing_matrix(4, 3).to_json_dict()
     assert data["nonsingular"] is True
