@@ -3,8 +3,8 @@
 Matrices are lists of lists of ints and Fractions.  Just enough Gaussian
 elimination for the ring oracle, pairing matrices and the triangular
 basis-change transforms; nothing here is numerical.  Integer matrices stay
-on int until a pivot other than 1 forces a Fraction, so a unit-triangular
-integer matrix inverts entirely on int.
+on int until a pivot other than +-1 forces a Fraction, so an integer matrix
+with unit pivots, such as a unit-triangular one, inverts entirely on int.
 """
 
 from __future__ import annotations
@@ -30,31 +30,46 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
+    """Reduced row echelon form; returns (reduced rows, pivot columns).
+
+    Each column takes as pivot its first entry equal to 1 or -1 at or below
+    the current row, else its first nonzero one.  The reduced row echelon
+    form is unique, so the result does not depend on that choice; unit
+    pivots only spare the division.  Rows are updated over the pivot row's
+    nonzero entries alone, and the caller's rows are left unchanged.
+    """
     m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    if any(len(r) != ncols for r in m):
+        raise ValueError("rows differ in length")
     pivots: List[int] = []
     r = 0
-    ncols = len(m[0]) if m else 0
     for c in range(ncols):
+        if r == len(m):
+            break
         pivot_row = None
         for i in range(r, len(m)):
-            if m[i][c] != 0:
+            x = m[i][c]
+            if x == 1 or x == -1:
                 pivot_row = i
                 break
+            if x != 0 and pivot_row is None:
+                pivot_row = i
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        if m[r][c] != 1:
-            inv = Fraction(1, m[r][c])
-            m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        p = m[r][c]
+        if p != 1:
+            scale = -1 if p == -1 else Fraction(1, p)
+            m[r] = [x * scale for x in m[r]]
+        nonzero = [(j, y) for j, y in enumerate(m[r]) if y != 0]
+        for i, row in enumerate(m):
+            factor = row[c]
+            if factor != 0 and i != r:
+                for j, y in nonzero:
+                    row[j] -= factor * y
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
     return m, pivots
 
 

@@ -550,7 +550,9 @@ def _is_basis_monomial(g: int, exps: ExponentVector) -> bool:
 @lru_cache(maxsize=None)
 def _ideal_slice_rref(g: int, w: int):
     """Row-reduced weight-w slice of the ideal, columns ordered with the
-    square-free basis monomials last.  Returns (columns, pivot rows map)."""
+    square-free basis monomials last.  Returns (columns, column index, number
+    of non-basis columns, pivot rows map); each pivot row is held as its
+    nonzero (column, entry) pairs."""
     mons = monomials_of_weight(g, w)
     non_basis = [m for m in mons if not _is_basis_monomial(g, m)]
     basis = [m for m in mons if _is_basis_monomial(g, m)]
@@ -569,10 +571,7 @@ def _ideal_slice_rref(g: int, w: int):
             for e, c in gen.terms.items():
                 row[col_index[tuple(map(add, e, m))]] = c
             rows.append(row)
-    if rows:
-        reduced, pivots = rref(rows)
-    else:
-        reduced, pivots = [], []
+    reduced, pivots = rref(rows)
     n_non_basis = len(non_basis)
     for p in pivots:
         if p >= n_non_basis:
@@ -580,7 +579,10 @@ def _ideal_slice_rref(g: int, w: int):
                 f"square-free monomials are linearly dependent modulo the ideal "
                 f"slice at (g={g}, w={w}); the presentation would be inconsistent"
             )
-    pivot_rows = {p: reduced[i] for i, p in enumerate(pivots)}
+    pivot_rows = {
+        p: tuple((j, y) for j, y in enumerate(reduced[i]) if y != 0)
+        for i, p in enumerate(pivots)
+    }
     return columns, col_index, n_non_basis, pivot_rows
 
 
@@ -609,7 +611,8 @@ def oracle_reduce(p: LambdaPolynomial) -> TautClass:
     for pivot, row in sorted(pivot_rows.items()):
         factor = vector[pivot]
         if factor != 0:
-            vector = [x - factor * y for x, y in zip(vector, row)]
+            for j, y in row:
+                vector[j] -= factor * y
     for j in range(n_non_basis):
         if vector[j] != 0:
             raise RuntimeError(

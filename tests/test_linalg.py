@@ -1,8 +1,13 @@
+import copy
+import random
 from fractions import Fraction
 
 import pytest
 
+import dense_elimination
+from agtaut import ring
 from agtaut.linalg import identity, invert, is_nonsingular, mat_mul, rank, rref
+from agtaut.nl import tilde_to_plain
 
 
 def frac_matrix(rows):
@@ -75,3 +80,84 @@ def test_elimination_stays_exact_on_int_fraction_and_mixed_input():
             assert exact_entries(matrix)
     small = invert([[2, 1], [1, 1]])
     assert small == [[1, -1], [-1, 2]] and exact_entries(small)
+
+
+def test_rref_rejects_ragged_rows():
+    # The column count used to come from the first row alone, so
+    # rank([[1], [2, 3]]) was 1 and rref dropped the 3.
+    with pytest.raises(ValueError):
+        rank([[1], [2, 3]])
+    with pytest.raises(ValueError):
+        rref([[1, 2], [3]])
+    assert rref([]) == ([], [])
+    assert rref([[], []]) == ([[], []], [])
+
+
+def assert_rref_matches_dense(rows):
+    before = copy.deepcopy(rows)
+    assert rref(rows) == dense_elimination.rref(rows), rows
+    assert rows == before
+
+
+def _random_entry(rng, kind):
+    if kind == "mixed":
+        kind = rng.choice(("int", "fraction"))
+    numerator = rng.choice((0, 0, 0, 1, -1, 2, -3, 5))
+    if kind == "int":
+        return numerator
+    return Fraction(numerator, rng.choice((1, 2, 3, 7)))
+
+
+def _random_matrix(rng, kind, nrows, ncols):
+    m = [[_random_entry(rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+    shape = rng.choice(("plain", "singular", "zero row", "zero column"))
+    if shape == "singular" and nrows >= 2:
+        a, b = rng.sample(range(nrows), 2)
+        m[a] = [x - 2 * y for x, y in zip(m[b], m[(b + 1) % nrows])]
+    elif shape == "zero row":
+        m[rng.randrange(nrows)] = [0] * ncols
+    elif shape == "zero column":
+        col = rng.randrange(ncols)
+        for row in m:
+            row[col] = 0
+    return m
+
+
+def test_rref_matches_dense_reference():
+    rng = random.Random(20241)
+    for kind in ("int", "fraction", "mixed"):
+        for nrows, ncols in ((7, 3), (3, 7), (5, 5), (1, 6), (6, 1), (9, 12)):
+            for _ in range(15):
+                assert_rref_matches_dense(_random_matrix(rng, kind, nrows, ncols))
+    basis_change = tilde_to_plain(100)
+    augmented = [row + ident for row, ident in zip(basis_change, identity(100))]
+    for rows in ([], [[]], [[0, 0], [0, 0]], augmented):
+        assert_rref_matches_dense(rows)
+
+
+def test_rref_matches_dense_reference_on_ideal_slices(monkeypatch):
+    slices = []
+
+    def recording_rref(rows):
+        slices.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(ring, "rref", recording_rref)
+    genera = range(1, ring.ORACLE_GENUS_CAP + 1)
+    for g in genera:
+        for w in range(ring.top_degree(g) + 1):
+            ring._ideal_slice_rref.__wrapped__(g, w)
+    assert len(slices) == sum(ring.top_degree(g) + 1 for g in genera)
+    for rows in slices:
+        assert_rref_matches_dense(rows)
+
+
+def test_unit_pivots_stay_on_int():
+    # Fraction(1, -1) used to turn every entry of this inverse into a Fraction.
+    inv = invert([[0, -1], [1, 0]])
+    assert inv == [[0, 1], [-1, 0]]
+    assert all(type(x) is int for row in inv for x in row)
+    # Column 0 pivots on the -1 below the 2, so no entry becomes a Fraction.
+    reduced, pivots = rref([[2, 1, 0], [-1, 0, 1], [0, 1, 1]])
+    assert (reduced, pivots) == (identity(3), [0, 1, 2])
+    assert all(type(x) is int for row in reduced for x in row)
