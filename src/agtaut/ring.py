@@ -14,8 +14,10 @@ Two independent implementations of the normal form live here:
       lambda_k^2  ->  2 * sum_{m=1}^{min(k, g-1-k)} (-1)^(m+1)
                           lambda_{k-m} lambda_{k+m}
 
-  (lambda_0 = 1).  Each rewrite strictly increases the sum of squared
-  indices at fixed weight, so the process terminates.
+  (lambda_0 = 1).  Squares are eliminated largest square index first.
+  A rewrite raises q = sum of squared indices by 2m^2, and q is bounded
+  at fixed weight, so one forward sweep in increasing q expands every
+  reachable monomial once, after all of its parents, and terminates.
 
 * ``oracle_reduce``: linear algebra.  Enumerate all monomials of the given
   weight, span the ideal slice explicitly, row-reduce over exact rationals
@@ -239,47 +241,58 @@ def relation(k: int, g: int) -> LambdaPolynomial:
     """
     if not 1 <= k <= g - 1:
         raise ValueError(f"relation index k={k} out of range [1, {g - 1}]")
+    return LambdaPolynomial(g, _relation_terms(k, g))
+
+
+def _relation_terms(k: int, g: int) -> dict:
+    """The terms of relation(k, g), on int: exponent vector -> coefficient."""
     terms = {_exponents(g, (k, k)): 1}
     for m in range(1, min(k, g - 1 - k) + 1):
         pair = (k - m, k + m) if k > m else (k + m,)
         terms[_exponents(g, pair)] = -2 * (-1) ** (m + 1)
-    return LambdaPolynomial(g, terms)
+    return terms
 
 
 @lru_cache(maxsize=None)
 def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, int], ...]:
     """Normal form of a single monomial, as ((indices, int coeff), ...).
 
-    Deletes lambda_g, then eliminates the squared factor of smallest index.
-    Recursion terminates: a rewrite replaces the pair (k, k) by (k-m, k+m),
-    raising the sum of squared indices by 2m^2 > 0, and that sum is bounded
-    at fixed weight.
+    Deletes lambda_g, then sweeps forward in q = sum of i^2 e_i.  Pending
+    monomials wait in buckets keyed by q, and the buckets are popped in
+    increasing q, in steps of 2.  A popped monomial with a squared factor
+    is rewritten largest square index first; rewriting lambda_k^2 to
+    lambda_{k-m} lambda_{k+m} raises q by 2m^2, so every parent of a
+    monomial is popped before it.  Each monomial is thus expanded once,
+    with its coefficient final, and only the input is cached.  The sweep
+    ends because q is bounded at fixed weight; the square-free survivors
+    are the normal form.
     """
     if exps[g - 1] > 0:
         return ()
-    square_index = 0
-    for i in range(g - 1):
-        if exps[i] >= 2:
-            square_index = i + 1
-            break
-    if square_index == 0:
-        indices = tuple(i + 1 for i in range(g - 1) if exps[i])
-        return ((indices, 1),)
-    k = square_index
-    # The recursive call stays in this frame, not in a generator, so each
-    # rewrite costs one level of the interpreter's recursion limit.
-    rewritten = []
-    for m in range(1, min(k, g - 1 - k) + 1):
-        child = list(exps)
-        child[k - 1] -= 2
-        child[k + m - 1] += 1
-        if k - m >= 1:
-            child[k - m - 1] += 1
-        rewritten.append((2 * (-1) ** (m + 1), _reduce_monomial(g, tuple(child))))
-    collected = _collect(
-        (indices, coeff * c) for coeff, normal_form in rewritten for indices, c in normal_form
-    )
-    return tuple(sorted((i, c) for i, c in collected.items() if c))
+    q = sum((i + 1) ** 2 * e for i, e in enumerate(exps))
+    pending = {q: {exps: 1}}
+    survivors = []
+    while pending:
+        for mono, coeff in pending.pop(q, {}).items():
+            if not coeff:
+                continue
+            k = g - 1
+            while k and mono[k - 1] < 2:
+                k -= 1
+            if not k:
+                survivors.append((tuple(i + 1 for i, e in enumerate(mono) if e), coeff))
+                continue
+            for m in range(1, min(k, g - 1 - k) + 1):
+                child = list(mono)
+                child[k - 1] -= 2
+                child[k + m - 1] += 1
+                if k > m:
+                    child[k - m - 1] += 1
+                child = tuple(child)
+                bucket = pending.setdefault(q + 2 * m * m, {})
+                bucket[child] = bucket.get(child, 0) + (2 if m % 2 else -2) * coeff
+        q += 2
+    return tuple(sorted(survivors))
 
 
 class TautClass(_SparseTerms):
@@ -562,13 +575,14 @@ def _ideal_slice_rref(g: int, w: int):
     # The ideal slice is spanned by the weight-w multiples of each relation
     # and of lambda_g: each generator times a monomial m, formed by adding m
     # to its exponent vectors (polynomial multiplication, no rewriting).
-    ideal = [(relation(k, g), 2 * k) for k in range(1, g)]
-    ideal.append((LambdaPolynomial.generator(g, g), g))
+    # Every generator coefficient is an int, so the rows are too.
+    ideal = [(_relation_terms(k, g), 2 * k) for k in range(1, g)]
+    ideal.append(({_exponents(g, (g,)): 1}, g))
     rows = []
     for gen, weight in ideal:
         for m in monomials_of_weight(g, w - weight):
             row = [0] * len(columns)
-            for e, c in gen.terms.items():
+            for e, c in gen.items():
                 row[col_index[tuple(map(add, e, m))]] = c
             rows.append(row)
     reduced, pivots = rref(rows)

@@ -51,6 +51,16 @@ def test_ring_reduce():
     assert code == 0 and out == "0\n"
 
 
+def test_ring_reduce_deep_rewrite():
+    # lambda_1^105 at g = 15 used to raise RecursionError.
+    code, out, _ = invoke(["ring-reduce", "--g", "15", "--indices", ",".join(["1"] * 105)])
+    assert code == 0
+    assert out == (
+        "513782568580731957367019767803085320396632776099975918380865685412418054992691200"
+        " * L(1,2,3,4,5,6,7,8,9,10,11,12,13,14)\n"
+    )
+
+
 def test_ring_pair():
     code, out, _ = invoke(["ring-pair", "--g", "4", "--k", "3"])
     assert code == 0

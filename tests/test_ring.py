@@ -4,12 +4,16 @@ from math import factorial
 
 import pytest
 
+import recursive_rewriting
+from agtaut import ring
 from agtaut.linalg import is_nonsingular
 from agtaut.ring import (
     LambdaPolynomial,
     PairingMatrix,
     TautClass,
+    _exponents,
     _reduce_monomial,
+    basis_sets,
     graded_dimension,
     monomials_of_weight,
     multiply,
@@ -117,8 +121,6 @@ def test_multiply_genus_mismatch():
 
 
 def test_multiply_commutative_associative_random():
-    from agtaut.ring import basis_sets
-
     rng = random.Random(17)
 
     def random_class(g):
@@ -300,10 +302,50 @@ def _shifted_staircase_tableaux(m):
 
 def test_lambda_1_power_matches_closed_form():
     # Third oracle, closed form, beyond the linear-algebra oracle's genus cap.
-    for g in range(2, 13):
+    # g = 15 is past the depth at which recursive rewriting stopped.
+    for g in range(2, 16):
         expected = 2 ** ((g - 1) * (g - 2) // 2) * _shifted_staircase_tableaux(g - 1)
         power = reduce(mono(g, [1] * top_degree(g)))
         assert power == taut(g, tuple(range(1, g)), expected), g
+
+
+def _assert_matches_recursive_rewriting(g, exps):
+    assert _reduce_monomial(g, exps) == recursive_rewriting._reduce_monomial(g, exps), (g, exps)
+
+
+def test_sweep_matches_recursive_rewriting():
+    # Exact comparison with the recursive rewriting the sweep replaced:
+    # every monomial up to two weights past the socle for g <= 7, every
+    # pairing monomial lambda_S lambda_T for g <= 9, lambda_1^top for g <= 12.
+    try:
+        for g in range(1, 8):
+            for w in range(top_degree(g) + 3):
+                for exps in monomials_of_weight(g, w):
+                    _assert_matches_recursive_rewriting(g, exps)
+        for g in range(2, 10):
+            for k in range(top_degree(g) + 1):
+                for s in basis_sets(g, k):
+                    for t in basis_sets(g, top_degree(g) - k):
+                        _assert_matches_recursive_rewriting(g, _exponents(g, s + t))
+        for g in range(2, 13):
+            _assert_matches_recursive_rewriting(g, _exponents(g, [1] * top_degree(g)))
+    finally:
+        recursive_rewriting._reduce_monomial.cache_clear()
+
+
+def test_ideal_slices_are_built_on_int(monkeypatch):
+    slices = []
+    rref = ring.rref
+
+    def recording_rref(rows):
+        slices.append(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(ring, "rref", recording_rref)
+    for g in range(1, ring.ORACLE_GENUS_CAP + 1):
+        for w in range(top_degree(g) + 1):
+            ring._ideal_slice_rref.__wrapped__(g, w)
+    assert slices and all(type(x) is int for rows in slices for row in rows for x in row)
 
 
 def test_mumford_relation_reduces_to_zero():
