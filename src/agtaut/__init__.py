@@ -23,6 +23,7 @@ from .arith import (
 )
 from .degrees import (
     DegreeResult,
+    PolarizationType,
     ScaledMatrixShape,
     deg_phi,
     deg_phi_crt,
@@ -31,6 +32,7 @@ from .degrees import (
     deg_pi,
     isotropic_tuple_count,
     nl_composition,
+    nl_constant,
     oracle_index,
     sl2_order_enumerated,
     sp4_f2_order_enumerated,
@@ -40,10 +42,8 @@ from .degrees import (
 from .gw import GWPrediction, conjecture_prediction, gw_tau1_lambda, triple_hodge_integral
 from .nl import (
     NLExpression,
-    PolarizationType,
     QSeries,
     eisenstein_series,
-    nl_constant,
     parse_expression,
     plain_to_tilde,
     taut_nl,

@@ -210,8 +210,9 @@ def _parser() -> _Parser:
         for flag in sorted(flags, key=lambda f: f.startswith("-")):
             p.add_argument(flag, **flags[flag])
     verify_parser = sub.add_parser("verify", help="run verification suites")
-    verify_parser.add_argument("--all", action="store_true")
-    verify_parser.add_argument("--suite", action="append", default=[])
+    selection = verify_parser.add_mutually_exclusive_group()
+    selection.add_argument("--all", action="store_true")
+    selection.add_argument("--suite", action="append", default=[])
     verify_parser.add_argument("--list", action="store_true")
     return parser
 

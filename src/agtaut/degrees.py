@@ -10,11 +10,12 @@ computable in three independent ways:
 
 * closed form (above);
 * stratified: working one prime at a time, the degree is
-  p^(sum_{i>=1} N(i)) * prod_{i=g-h+1}^{g} (1 - p^(-2i)), where N(i)
-  counts the free matrix positions of the congruence pattern forced to be
-  divisible by p^i, and the fractional product comes from the transitive
-  action on isotropic h-tuples mod p (N(1) is exactly the p-power part of
-  that tuple count);
+  p^(sum_{i>=2} N(i)) times the number of isotropic h-tuples mod p, where
+  N(i) counts the free matrix positions of the congruence pattern forced
+  to be divisible by p^i and h counts the entries divisible by p; the
+  count comes from the transitive action on those tuples, and since N(1)
+  is exactly its p-power part, p^N(1) prod_{i=g-h+1}^{g} (1 - p^(-2i)) is
+  that count;
 * enumeration (genus 1): count matrices of the pattern inside SL_2(Z/d^2)
   and divide the group order by the count.
 
@@ -28,7 +29,11 @@ which for delta = (p) is the order of SL_2(F_p), the group of symplectic
 automorphisms of the kernel.
 
 The closed forms evaluate each prime product as J_s(n) / n^s (Jacobi
-totient); the stratified route and the isotropic tuple count keep their own.
+totient); the stratified route counts on int, and the isotropic tuple count
+keeps the prime product as its second printed form.
+
+The NL locus is reached through these covers, so the polarization types
+and the NL constant C(delta) * deg_phi_{g-u}(delta) live here too.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .arith import factorize, is_prime, jacobi_totient
-from .nl import _as_type, _chain_correction, nl_constant
 
 # Enumeration caps.  AGTAUT_ORACLE_CAP may lower (or restore) them, but
 # never exceeds them.
@@ -61,6 +66,63 @@ def _env_cap(hard: int) -> int:
     except ValueError as exc:
         raise ValueError(f"AGTAUT_ORACLE_CAP must be an integer, got {raw!r}") from exc
     return min(value, hard)
+
+
+class PolarizationType:
+    """Divisibility chain (d_1 | d_2 | ... | d_u) of positive integers.
+
+    Built from another PolarizationType, a single int or a sequence of
+    ints; an entry that is not an int is a TypeError, never truncated.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Union["PolarizationType", int, Iterable[int]]):
+        if isinstance(entries, PolarizationType):
+            self.entries = entries.entries  # already checked
+            return
+        entries = (entries,) if isinstance(entries, int) else tuple(entries)
+        for d in entries:
+            if not isinstance(d, int):
+                raise TypeError(f"polarization type entries must be int, got {d!r}")
+        if not entries:
+            raise ValueError("polarization type must have at least one entry")
+        if any(d < 1 for d in entries):
+            raise ValueError(f"entries must be positive, got {entries}")
+        for a, b in zip(entries, entries[1:]):
+            if b % a != 0:
+                raise ValueError(
+                    f"invalid polarization type {entries}: each entry must "
+                    f"divide the next ({a} does not divide {b})"
+                )
+        self.entries = entries
+
+    @property
+    def u(self) -> int:
+        return len(self.entries)
+
+    @property
+    def product(self) -> int:
+        return math.prod(self.entries)
+
+    def padded(self, length: int) -> "PolarizationType":
+        """Left-pad with 1 entries up to the given length."""
+        if self.u > length:
+            raise ValueError(f"type {self.entries} longer than {length}")
+        return PolarizationType((1,) * (length - self.u) + self.entries)
+
+    def p_part(self, p: int) -> "PolarizationType":
+        """Entrywise p-power part; again a divisibility chain."""
+        return PolarizationType(p ** factorize(d).v(p) for d in self.entries)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PolarizationType) and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"PolarizationType({list(self.entries)})"
+
+    def __str__(self) -> str:
+        return "(" + ",".join(map(str, self.entries)) + ")"
 
 
 @dataclass(frozen=True)
@@ -159,7 +221,7 @@ def deg_phi_special(g: int, k: int, h: int, d: int) -> DegreeResult:
 def deg_phi(g: int, delta) -> DegreeResult:
     """Closed-form degree for an arbitrary chain (shorter chains are padded
     with leading 1 entries up to length g): prod_j d_j^(2g+1-2j) J_2j(d_j)."""
-    delta = _as_type(delta).padded(g)
+    delta = PolarizationType(delta).padded(g)
     value = math.prod(
         d_j ** (2 * g + 1 - 2 * j) * jacobi_totient(2 * j, d_j)
         for j, d_j in enumerate(delta.entries, start=1)
@@ -238,7 +300,7 @@ def deg_phi_stratified(g: int, delta, p: int) -> DegreeResult:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    delta = _as_type(delta).padded(g)
+    delta = PolarizationType(delta).padded(g)
     exponents = tuple(factorize(d).v(p) for d in delta.entries)
     if delta.product != p ** sum(exponents):
         raise ValueError(
@@ -246,27 +308,44 @@ def deg_phi_stratified(g: int, delta, p: int) -> DegreeResult:
             f"and combine multiplicatively"
         )
     shape = ScaledMatrixShape(g, p, exponents)
-    value = Fraction(p) ** shape.total_exponent()
-    for i in range(g - shape.h + 1, g + 1):
-        value *= 1 - Fraction(p) ** (-2 * i)
-    return DegreeResult(value, ROUTE_STRATIFIED)
+    value = 1
+    if shape.h:
+        # p^N(1) prod_{i=g-h+1}^{g} (1 - p^(-2i)) is the isotropic tuple count
+        higher = sum(shape.n_count(i) for i in range(2, 2 * exponents[-1] + 1))
+        value = p**higher * isotropic_tuple_count(g, shape.h, p)
+    return DegreeResult(Fraction(value), ROUTE_STRATIFIED)
 
 
 def deg_phi_crt(g: int, delta) -> DegreeResult:
     """Stratified degree for an arbitrary chain: product over its prime parts."""
-    delta = _as_type(delta).padded(g)
-    value = Fraction(1)
-    for p in factorize(delta.product).primes():
-        value *= deg_phi_stratified(g, delta.p_part(p), p).value
-    return DegreeResult(value, ROUTE_STRATIFIED)
+    delta = PolarizationType(delta).padded(g)
+    primes = factorize(delta.product).primes()
+    value = math.prod(int(deg_phi_stratified(g, delta.p_part(p), p)) for p in primes)
+    return DegreeResult(Fraction(value), ROUTE_STRATIFIED)
 
 
 # -- degree of the level-forgetting cover -----------------------------------
 
 
+def _chain_correction(delta: PolarizationType) -> Fraction:
+    """prod_k d_k^(2n - 4k + 2) * prod_{1 <= i < j <= n} prod_{p | d_j / d_i}
+    (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1))), with n the chain length; the
+    pair factor is r^2 J_{2(j-i)}(r) / J_{2(j-i+1)}(r) with r = d_j / d_i."""
+    entries = delta.entries
+    n = len(entries)
+    c = Fraction(1)
+    for k, d_k in enumerate(entries, start=1):
+        c *= Fraction(d_k) ** (2 * n - 4 * k + 2)
+    for (i, d_i), (j, d_j) in combinations(enumerate(entries), 2):
+        r = d_j // d_i
+        s = 2 * (j - i)
+        c *= Fraction(r * r * jacobi_totient(s, r), jacobi_totient(s + 2, r))
+    return c
+
+
 def deg_pi(g: int, delta) -> DegreeResult:
     """deg_pi = deg_phi times the correction with d_k exponent 2g - 4k + 2."""
-    delta = _as_type(delta).padded(g)
+    delta = PolarizationType(delta).padded(g)
     value = deg_phi(g, delta).value * _chain_correction(delta)
     if value.denominator != 1:
         raise AssertionError(f"deg_pi({g}, {delta}) is not an integer: {value}")
@@ -347,25 +426,33 @@ def oracle_index(d: int) -> DegreeResult:
     return DegreeResult(Fraction(order // pattern), ROUTE_ENUMERATION)
 
 
-# -- composition diagnostic --------------------------------------------------
+# -- the NL constant and the composition diagnostic --------------------------
+
+
+def nl_constant(g: int, delta) -> Fraction:
+    """Multiplier from the product-cycle projection to the NL projection of
+    type delta (length u, 2u <= g): C(delta) * deg_phi_{g-u}(delta), where
+    C(delta) = deg_pi_u(delta) / deg_phi_u(delta) is the chain correction
+    and deg_phi_{g-u} pads delta with leading 1 entries."""
+    delta = PolarizationType(delta)
+    u = delta.u
+    if 2 * u > g:
+        raise ValueError(f"type {delta} too long for genus {g}")
+    return _chain_correction(delta) * deg_phi(g - u, delta).value
 
 
 def nl_composition(g: int, delta) -> Dict[str, object]:
     """Compare the ring-side NL constant with the composition of degrees.
 
     The degree composition deg_phi(delta at genus u) * deg_phi(complement
-    at genus g-u) / deg_pi(delta at genus u) need not reproduce the ring
-    constant (the pure d-power factor can land on the other side of the
-    fraction); this reports both values and never asserts equality.
+    at genus g-u) / deg_pi(delta at genus u) puts deg_phi_u and deg_pi_u on
+    the wrong sides of the fraction: with C(delta) = deg_pi_u / deg_phi_u,
+    constant = composed * C(delta)^2, so the two agree exactly when
+    C(delta) = 1 (single entries, equal-entry pairs).  This reports both
+    values and never asserts equality.
     """
-    delta = _as_type(delta)
+    delta = PolarizationType(delta)
     u = delta.u
-    if 2 * u > g:
-        raise ValueError(f"type {delta} too long for genus {g}")
-    constant = nl_constant(g, delta)
-    composed = (
-        deg_phi(u, delta).value
-        * deg_phi(g - u, delta.padded(g - u)).value
-        / deg_pi(u, delta).value
-    )
+    constant = nl_constant(g, delta)  # rejects 2u > g
+    composed = deg_phi(u, delta).value * deg_phi(g - u, delta).value / deg_pi(u, delta).value
     return {"constant": constant, "composed": composed, "match": constant == composed}

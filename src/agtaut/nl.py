@@ -3,18 +3,11 @@
 The projection of the locus of abelian varieties with a u-dimensional
 abelian subvariety of induced polarization type delta = (d_1 | ... | d_u)
 is a rational multiple of the projection of the plain product locus.  The
-multiplier is
-
-    c = prod_k d_k^(2u - 4k + 2)
-        * prod_{1 <= i < j <= u} prod_{p | d_j / d_i}
-              (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1)))
-        * d^(2(g-u) + 1)
-        * prod_{j=1}^{u} prod_{p | d_j} (1 - p^(-2(j + g - 2u)))
-
-with d = d_1 ... d_u and all products over primes.  The two displayed
-specializations (u = 1 and u = 2) are implemented as separate code paths
-purely to cross-check this constant.  Each prime product is evaluated as a
-Jacobi totient ratio, prod_{p | n} (1 - p^(-s)) = J_s(n) / n^s.
+multiplier is degrees.nl_constant, C(delta) * deg_phi_{g-u}(delta), built
+from the level-cover degrees.  The two displayed specializations (u = 1
+and u = 2) are implemented as separate code paths purely to cross-check
+this constant.  Each prime product is evaluated as a Jacobi totient ratio,
+prod_{p | n} (1 - p^(-s)) = J_s(n) / n^s.
 
 The elliptic-homomorphism ("tilde") cycles are related to the plain ones by
 the unit-triangular divisor-sum transform with kernel sigma_1(d / dhat);
@@ -34,70 +27,14 @@ anywhere in this module.
 from __future__ import annotations
 
 import json
-import math
 import re
 from fractions import Fraction
-from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from .arith import abs_bernoulli, as_rational, bernoulli, divisors, factorize, jacobi_totient, sigma
+from .arith import abs_bernoulli, as_rational, bernoulli, divisors, jacobi_totient, sigma
+from .degrees import PolarizationType, nl_constant
 from .linalg import Matrix, invert
 from .ring import LambdaPolynomial, TautClass, multiply, reduce
-
-
-class PolarizationType:
-    """Divisibility chain (d_1 | d_2 | ... | d_u) of positive integers."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence[int]):
-        entries = tuple(int(d) for d in entries)
-        if not entries:
-            raise ValueError("polarization type must have at least one entry")
-        if any(d < 1 for d in entries):
-            raise ValueError(f"entries must be positive, got {entries}")
-        for a, b in zip(entries, entries[1:]):
-            if b % a != 0:
-                raise ValueError(
-                    f"invalid polarization type {entries}: each entry must "
-                    f"divide the next ({a} does not divide {b})"
-                )
-        self.entries = entries
-
-    @property
-    def u(self) -> int:
-        return len(self.entries)
-
-    @property
-    def product(self) -> int:
-        return math.prod(self.entries)
-
-    def padded(self, length: int) -> "PolarizationType":
-        """Left-pad with 1 entries up to the given length."""
-        if self.u > length:
-            raise ValueError(f"type {self.entries} longer than {length}")
-        return PolarizationType((1,) * (length - self.u) + self.entries)
-
-    def p_part(self, p: int) -> "PolarizationType":
-        """Entrywise p-power part; again a divisibility chain."""
-        return PolarizationType(p ** factorize(d).v(p) for d in self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolarizationType) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"PolarizationType({list(self.entries)})"
-
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.entries)) + ")"
-
-
-def _as_type(delta) -> PolarizationType:
-    if isinstance(delta, PolarizationType):
-        return delta
-    if isinstance(delta, int):
-        return PolarizationType((delta,))
-    return PolarizationType(delta)
 
 
 class QSeries:
@@ -178,41 +115,9 @@ def taut_product_cycle(g: int, u: int) -> TautClass:
     raise ValueError(f"product cycle with u={u} is out of scope (u <= 2 only)")
 
 
-def _chain_correction(delta: PolarizationType) -> Fraction:
-    """prod_k d_k^(2n - 4k + 2) * prod_{1 <= i < j <= n} prod_{p | d_j / d_i}
-    (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1))), with n the chain length; the
-    pair factor is r^2 J_{2(j-i)}(r) / J_{2(j-i+1)}(r) with r = d_j / d_i."""
-    entries = delta.entries
-    n = len(entries)
-    c = Fraction(1)
-    for k, d_k in enumerate(entries, start=1):
-        c *= Fraction(d_k) ** (2 * n - 4 * k + 2)
-    for (i, d_i), (j, d_j) in combinations(enumerate(entries), 2):
-        r = d_j // d_i
-        s = 2 * (j - i)
-        c *= Fraction(r * r * jacobi_totient(s, r), jacobi_totient(s + 2, r))
-    return c
-
-
-def nl_constant(g: int, delta) -> Fraction:
-    """Multiplier relating the NL projection to the product-cycle projection.
-
-    The factor d^(2(g-u)+1) prod_{j=1}^{u} prod_{p | d_j} (1 - p^(-2(j+g-2u)))
-    is the int prod_j d_j^(2u+1-2j) J_{2(j+g-2u)}(d_j).
-    """
-    delta = _as_type(delta)
-    u = delta.u
-    if 2 * u > g:
-        raise ValueError(f"type {delta} too long for genus {g}")
-    return _chain_correction(delta) * math.prod(
-        d_j ** (2 * u + 1 - 2 * j) * jacobi_totient(2 * (j + g - 2 * u), d_j)
-        for j, d_j in enumerate(delta.entries, start=1)
-    )
-
-
 def taut_nl(g: int, delta) -> TautClass:
     """Projection of the NL cycle of type delta: constant times product cycle."""
-    delta = _as_type(delta)
+    delta = PolarizationType(delta)
     return nl_constant(g, delta) * taut_product_cycle(g, delta.u)
 
 

@@ -145,6 +145,14 @@ def test_verify_unknown_suite():
     assert code == 1 and "unknown suites" in err
 
 
+def test_verify_all_and_suite_are_exclusive():
+    # a suite name next to --all would be ignored, so the pair is a usage error
+    for argv in (["verify", "--all", "--suite", "nope"], ["verify", "--suite", "nope", "--all"]):
+        code, out, err = invoke(argv)
+        assert code == 1 and out == ""
+        assert "not allowed with argument" in err
+
+
 def test_verify_failure_prints_both_sides_and_exits_2(monkeypatch):
     from agtaut import verify as verify_module
 

@@ -1,6 +1,7 @@
 import io
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -161,6 +162,25 @@ def test_shape_bookkeeping():
             assert shape.n_count(1) == 2 * g * h - h * (h - 1) // 2
 
 
+def test_stratified_premise_on_every_shape():
+    # N(1) = 2gh - h(h-1)/2 on every shape, so p^N(1) prod (1 - p^(-2i)) is
+    # the isotropic tuple count that deg_phi_stratified multiplies by
+    shapes = 0
+    for g in range(1, 7):
+        for exps in combinations_with_replacement(range(5), g):
+            for p in (2, 3, 5):
+                shape = ScaledMatrixShape(g, p, exps)
+                h = shape.h
+                assert shape.n_count(1) == 2 * g * h - h * (h - 1) // 2, (g, exps)
+                reference = Fraction(p) ** shape.total_exponent()
+                for i in range(g - h + 1, g + 1):
+                    reference *= 1 - Fraction(p) ** (-2 * i)
+                delta = tuple(p**v for v in exps)
+                assert deg_phi_stratified(g, delta, p).value == reference, (g, p, exps)
+                shapes += 1
+    assert shapes == 1383
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         ScaledMatrixShape(2, 2, (2, 1))  # not non-decreasing
@@ -242,11 +262,27 @@ def test_nl_composition_diagnostic():
         report = nl_composition(g, (d,))
         assert report["match"] is True
         assert report["constant"] == report["composed"]
-    # for u = 2 with distinct entries the pure power factor lands on the
-    # other side of the fraction; both values are reported, never reconciled
+    # for u = 2 with distinct entries the two differ by C(delta)^2 (here
+    # 1/25); both values are reported, never reconciled
     report = nl_composition(4, (1, 2))
     assert report["constant"] == 6
     assert report["composed"] == 150
     assert report["match"] is False
     # equal entries dodge the discrepancy
     assert nl_composition(4, (2, 2))["match"] is True
+
+
+def test_nl_composition_gap_is_chain_correction_squared():
+    # constant = composed * C^2 with C = deg_pi_u / deg_phi_u: the composition
+    # puts deg_phi_u and deg_pi_u on the wrong sides of the fraction
+    chains = [(d,) for d in range(1, 25)]
+    chains += [(d1, d2) for d2 in range(1, 25) for d1 in range(1, d2 + 1) if d2 % d1 == 0]
+    for chain in chains:
+        u = len(chain)
+        c = deg_pi(u, chain).value / deg_phi(u, chain).value
+        for g in range(2 * u, 11):
+            report = nl_composition(g, chain)
+            assert report["constant"] == report["composed"] * c * c, (g, chain)
+            assert report["match"] is (c == 1), (g, chain)
+    # at (1, 2) C = 1/5, the 5 coming from J_4(2) / J_2(2)
+    assert deg_pi(2, (1, 2)).value / deg_phi(2, (1, 2)).value == Fraction(1, 5)

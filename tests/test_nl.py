@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 import displayed_forms
+from agtaut import degrees
+from agtaut.degrees import deg_phi
 from agtaut.linalg import identity, mat_mul
 from agtaut.nl import (
     NLExpression,
@@ -39,6 +41,27 @@ def test_polarization_type_validation():
         PolarizationType((2, 3))
     with pytest.raises(ValueError):
         PolarizationType((0, 2))
+
+
+def test_polarization_type_refuses_inexact_entries():
+    # an inexact entry is refused, never truncated to an int
+    with pytest.raises(TypeError):
+        taut_nl(4, (1.9, 2.2))
+    with pytest.raises(TypeError):
+        deg_phi(2, (2.7,))
+    with pytest.raises(TypeError):
+        PolarizationType(["3", 6])
+    with pytest.raises(TypeError):
+        PolarizationType("12")
+
+
+def test_polarization_type_from_type_int_or_sequence():
+    delta = PolarizationType((2, 4))
+    assert PolarizationType(delta) == delta
+    assert PolarizationType(3).entries == (3,)
+    assert PolarizationType([1, 2]).entries == PolarizationType(d for d in (1, 2)).entries
+    assert PolarizationType is degrees.PolarizationType
+    assert nl_constant is degrees.nl_constant
 
 
 def test_polarization_type_derived():
