@@ -34,7 +34,7 @@ for indices in ((1, 1), (1, 1, 2), (2, 2), (3, 3), (1, 1, 1, 1)):
     print(f"  {label:16s} -> {reduce(poly)}")
 
 print()
-print("=== the rewriting path agrees with the linear-algebra oracle ===")
+print("=== the rewriting path agrees with the localization oracle ===")
 for indices in ((1, 1, 2), (2, 2, 1), (1, 1, 1, 3)):
     poly = LambdaPolynomial.monomial(g, indices)
     assert reduce(poly) == oracle_reduce(poly)

@@ -261,15 +261,6 @@ class ScaledMatrixShape:
     def h(self) -> int:
         return self.g - self.k
 
-    def a_valuation(self, r: int, c: int) -> int:
-        return self.exponents[r - 1]
-
-    def b_valuation(self, r: int, c: int) -> int:
-        return self.exponents[r - 1] + self.exponents[c - 1]
-
-    def e_valuation(self, r: int, c: int) -> int:
-        return self.exponents[c - 1]
-
     def n_count(self, i: int) -> int:
         """Number of free positions (a anywhere, b on r <= c) forced
         divisible by p^i; the step-i stratum contributes p^N(i)."""

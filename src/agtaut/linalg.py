@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists of ints and Fractions.  Just enough Gaussian
-elimination for the ring oracle, pairing matrices and the triangular
-basis-change transforms; nothing here is numerical.  Integer matrices stay
+elimination for pairing matrices and the triangular basis-change
+transforms; nothing here is numerical.  Integer matrices stay
 on int until a pivot other than +-1 forces a Fraction, so an integer matrix
 with unit pivots, such as a unit-triangular one, inverts entirely on int.
 """

@@ -19,10 +19,11 @@ Two independent implementations of the normal form live here:
   at fixed weight, so one forward sweep in increasing q expands every
   reachable monomial once, after all of its parents, and terminates.
 
-* ``oracle_reduce``: linear algebra.  Enumerate all monomials of the given
-  weight, span the ideal slice explicitly, row-reduce over exact rationals
-  and express the input in the square-free basis.  Deliberately shares no
-  code with the rewriting path.
+* ``oracle_reduce``: localization and duality.  A socle integral is an
+  Atiyah-Bott sum over the torus-fixed points of LG_{g-1} (see below and
+  Pragacz 1996); a monomial's pairings with the complementary basis,
+  solved against the localized pairing, give its normal form.
+  Deliberately shares no code with the rewriting path.
 
 The socle pairing implemented here is normalized so that the socle monomial
 lambda_1 ... lambda_{g-1} pairs with 1 to 1.  This is proportional to the
@@ -47,15 +48,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations, product
+from math import lcm, prod
 from operator import add
 from typing import Iterable, List, Tuple
 
 from .arith import as_rational
-from .linalg import is_nonsingular, rref
+from .linalg import is_nonsingular
 
-# The oracle enumerates all monomials of a weight, which grows quickly.
-ORACLE_GENUS_CAP = 6
+# The oracle sums over 2^(g-1) fixed points for every pairing it solves.
+ORACLE_GENUS_CAP = 8
 
 ExponentVector = Tuple[int, ...]
 IndexTuple = Tuple[int, ...]
@@ -241,16 +243,11 @@ def relation(k: int, g: int) -> LambdaPolynomial:
     """
     if not 1 <= k <= g - 1:
         raise ValueError(f"relation index k={k} out of range [1, {g - 1}]")
-    return LambdaPolynomial(g, _relation_terms(k, g))
-
-
-def _relation_terms(k: int, g: int) -> dict:
-    """The terms of relation(k, g), on int: exponent vector -> coefficient."""
     terms = {_exponents(g, (k, k)): 1}
     for m in range(1, min(k, g - 1 - k) + 1):
         pair = (k - m, k + m) if k > m else (k + m,)
         terms[_exponents(g, pair)] = -2 * (-1) ** (m + 1)
-    return terms
+    return LambdaPolynomial(g, terms)
 
 
 @lru_cache(maxsize=None)
@@ -535,9 +532,6 @@ def pairing_matrix(g: int, k: int) -> PairingMatrix:
     return PairingMatrix(g, k, rows, cols, entries)
 
 
-# -- linear algebra oracle ----------------------------------------------
-
-
 @lru_cache(maxsize=None)
 def monomials_of_weight(g: int, w: int) -> Tuple[ExponentVector, ...]:
     """All exponent vectors in g variables of weight w (lambda_i weighs i)."""
@@ -556,52 +550,71 @@ def monomials_of_weight(g: int, w: int) -> Tuple[ExponentVector, ...]:
     return tuple(sorted(found))
 
 
-def _is_basis_monomial(g: int, exps: ExponentVector) -> bool:
-    return exps[g - 1] == 0 and all(e <= 1 for e in exps)
+# -- localization oracle ------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _ideal_slice_rref(g: int, w: int):
-    """Row-reduced weight-w slice of the ideal, columns ordered with the
-    square-free basis monomials last.  Returns (columns, column index, number
-    of non-basis columns, pivot rows map); each pivot row is held as its
-    nonzero (column, entry) pairs."""
-    mons = monomials_of_weight(g, w)
-    non_basis = [m for m in mons if not _is_basis_monomial(g, m)]
-    basis = [m for m in mons if _is_basis_monomial(g, m)]
-    columns = non_basis + basis
-    col_index = {m: j for j, m in enumerate(columns)}
+def _fixed_points(g: int):
+    """Torus-fixed points of LG_{g-1} as (lambda values, weight) pairs, and L.
 
-    # The ideal slice is spanned by the weight-w multiples of each relation
-    # and of lambda_g: each generator times a monomial m, formed by adding m
-    # to its exponent vectors (polynomial multiplication, no rewriting).
-    # Every generator coefficient is an int, so the rows are too.
-    ideal = [(_relation_terms(k, g), 2 * k) for k in range(1, g)]
-    ideal.append(({_exponents(g, (g,)): 1}, g))
-    rows = []
-    for gen, weight in ideal:
-        for m in monomials_of_weight(g, w - weight):
-            row = [0] * len(columns)
-            for e, c in gen.items():
-                row[col_index[tuple(map(add, e, m))]] = c
-            rows.append(row)
-    reduced, pivots = rref(rows)
-    n_non_basis = len(non_basis)
-    for p in pivots:
-        if p >= n_non_basis:
-            raise RuntimeError(
-                f"square-free monomials are linearly dependent modulo the ideal "
-                f"slice at (g={g}, w={w}); the presentation would be inconsistent"
-            )
-    pivot_rows = {
-        p: tuple((j, y) for j, y in enumerate(reduced[i]) if y != 0)
-        for i, p in enumerate(pivots)
-    }
-    return columns, col_index, n_non_basis, pivot_rows
+    At y = (+-1, ..., +-(g-1)), lambda_k takes the value e_k(y), so lambda_g
+    takes 0.  With D(y) = prod 2 y_i * prod_{i<j} (y_i + y_j), the socle
+    integral is sum_y m(y) / D(y); on int, the point weighs L / D(y), where
+    L = lcm |D|, and the sum is divided by L.
+    """
+    points = []
+    for signs in product((1, -1), repeat=g - 1):
+        y = [s * i for s, i in zip(signs, range(1, g))]
+        e = [1] + [0] * g
+        for x in y:
+            for k in range(g - 1, 0, -1):
+                e[k] += x * e[k - 1]
+        d = prod(2 * x for x in y) * prod(a + b for a, b in combinations(y, 2))
+        points.append((tuple(e[1:]), d))
+    lcm_d = lcm(*(abs(d) for _, d in points))
+    return tuple((values, lcm_d // d) for values, d in points), lcm_d
+
+
+def _socle(g: int, exps: ExponentVector) -> int:
+    """Socle coefficient of a monomial of weight g(g-1)/2, by localization."""
+    points, lcm_d = _fixed_points(g)
+    total = sum(weight * prod(map(pow, values, exps)) for values, weight in points)
+    value, remainder = divmod(total, lcm_d)
+    if remainder:
+        raise RuntimeError(f"localization sum of {exps} at g={g} is not divisible by {lcm_d}")
+    return value
+
+
+@lru_cache(maxsize=None)
+def _localized_pairing(g: int, w: int):
+    """Degree-w basis sets ordered by q, their complements, and the localized
+    pairing between them, which must carry PairingMatrix's certificate."""
+    rows = tuple(sorted(basis_sets(g, w), key=lambda s: sum(i * i for i in s)))
+    cols = tuple(tuple(i for i in range(1, g) if i not in s) for s in rows)
+    entries = [[_socle(g, _exponents(g, s + t)) for t in cols] for s in rows]
+    if not PairingMatrix(g, w, rows, cols, entries).is_certified():
+        raise RuntimeError(f"localized pairing at (g={g}, w={w}) is not certified unitriangular")
+    return rows, cols, entries
+
+
+@lru_cache(maxsize=None)
+def _oracle_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, int], ...]:
+    """Normal form of a single monomial by duality, as ((indices, int coeff), ...).
+
+    The pairings v_j of the monomial with the complements T_j satisfy
+    v_j = sum_i c_i P[i][j], and P is unitriangular with rows in increasing
+    q, so forward substitution gives the coefficients c_i on int.
+    """
+    rows, cols, entries = _localized_pairing(g, _weight(exps))
+    coeffs: List[int] = []
+    for j, t in enumerate(cols):
+        known = sum(c * row[j] for c, row in zip(coeffs, entries))
+        coeffs.append(_socle(g, tuple(map(add, exps, _exponents(g, t)))) - known)
+    return tuple((s, c) for s, c in zip(rows, coeffs) if c)
 
 
 def oracle_reduce(p: LambdaPolynomial) -> TautClass:
-    """Normal form via exact linear algebra in the graded slice.
+    """Normal form by localization and duality.
 
     Independent of the rewriting path.  Requires a homogeneous input of
     weight at most g(g-1)/2 and genus at most ORACLE_GENUS_CAP.
@@ -617,26 +630,11 @@ def oracle_reduce(p: LambdaPolynomial) -> TautClass:
     w = weights[0]
     if w > top_degree(g):
         raise ValueError(f"weight {w} exceeds the socle degree {top_degree(g)}")
-
-    columns, col_index, n_non_basis, pivot_rows = _ideal_slice_rref(g, w)
-    vector = [0] * len(columns)
-    for e, c in p.terms.items():
-        vector[col_index[e]] = c
-    for pivot, row in sorted(pivot_rows.items()):
-        factor = vector[pivot]
-        if factor != 0:
-            for j, y in row:
-                vector[j] -= factor * y
-    for j in range(n_non_basis):
-        if vector[j] != 0:
-            raise RuntimeError(
-                f"square-free monomials fail to span the quotient at "
-                f"(g={g}, w={w}); the presentation would be inconsistent"
-            )
-    terms = {}
-    for j in range(n_non_basis, len(columns)):
-        if vector[j] != 0:
-            exps = columns[j]
-            indices = tuple(i + 1 for i in range(g - 1) if exps[i])
-            terms[indices] = vector[j]
-    return TautClass(g, terms)
+    return TautClass(
+        g,
+        _collect(
+            (indices, coeff * c)
+            for exps, coeff in p.terms.items()
+            for indices, c in _oracle_monomial(g, exps)
+        ),
+    )

@@ -33,7 +33,7 @@ def _demand(context: str, lhs, rhs) -> None:
         raise VerificationFailure(context, str(lhs), str(rhs))
 
 
-# -- 1. ring normal form vs linear-algebra oracle ----------------------------
+# -- 1. ring normal form vs localization oracle ------------------------------
 
 
 def check_ring_normal_form() -> str:

@@ -144,9 +144,6 @@ def test_deg_phi_crt_matches_closed_form():
 def test_shape_bookkeeping():
     shape = ScaledMatrixShape(2, 2, (1, 2))
     assert shape.k == 0 and shape.h == 2
-    assert shape.a_valuation(1, 2) == 1
-    assert shape.b_valuation(1, 2) == 3
-    assert shape.e_valuation(1, 2) == 2
     # N(i) over all strata accounts for the full power of p
     assert shape.total_exponent() == (2 * 2 + 1) * 3
     rng = random.Random(99)

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import ideal_slice_elimination
 import recursive_rewriting
 from agtaut import ring
 from agtaut.linalg import is_nonsingular
@@ -261,19 +262,60 @@ def test_oracle_examples():
 
 def test_oracle_input_validation():
     with pytest.raises(ValueError):
-        oracle_reduce(mono(7, (1,)))  # genus beyond the oracle cap
+        oracle_reduce(mono(9, (1,)))  # genus beyond the oracle cap
     with pytest.raises(ValueError):
         oracle_reduce(mono(3, (1,)) + mono(3, (1, 1)))  # inhomogeneous
     with pytest.raises(ValueError):
         oracle_reduce(mono(3, (2, 2)))  # weight beyond the socle degree
 
 
+def _monomial_inputs(g, w):
+    return [LambdaPolynomial(g, {exps: Fraction(1)}) for exps in monomials_of_weight(g, w)]
+
+
 def test_oracle_agrees_with_rewriting_small_genus():
-    for g in range(2, 5):
+    # Every monomial of every weight for g <= 7, 20 seeded ones per weight at g = 8.
+    rng = random.Random(8)
+    for g in range(1, 9):
         for w in range(0, top_degree(g) + 1):
-            for exps in monomials_of_weight(g, w):
-                p = LambdaPolynomial(g, {exps: Fraction(1)})
-                assert reduce(p) == oracle_reduce(p), (g, exps)
+            inputs = _monomial_inputs(g, w)
+            if g == 8:
+                inputs = rng.sample(inputs, min(20, len(inputs)))
+            for p in inputs:
+                assert reduce(p) == oracle_reduce(p), (g, p)
+
+
+def test_oracle_refuses_inconsistent_localization(monkeypatch):
+    # Called unwrapped, so the oracle's caches never see the broken data.
+    monkeypatch.setattr(PairingMatrix, "is_certified", lambda self: False)
+    with pytest.raises(RuntimeError, match="not certified"):
+        ring._localized_pairing.__wrapped__(4, 2)
+    monkeypatch.undo()
+    points, lcm_d = ring._fixed_points(4)
+    skewed = ((points[0][0], points[0][1] + 1),) + points[1:]
+    monkeypatch.setattr(ring, "_fixed_points", lambda g: (skewed, lcm_d))
+    with pytest.raises(RuntimeError, match="not divisible"):
+        ring._localized_pairing.__wrapped__(4, 2)
+
+
+def test_localization_matches_ideal_slice_elimination():
+    # Three routes, exactly, on every monomial of every weight in the
+    # elimination's own range.
+    for g in range(1, ideal_slice_elimination.ORACLE_GENUS_CAP + 1):
+        for w in range(0, top_degree(g) + 1):
+            for p in _monomial_inputs(g, w):
+                assert reduce(p) == oracle_reduce(p) == ideal_slice_elimination.oracle_reduce(p), (g, p)
+
+
+def test_pairing_entries_equal_localized_socle():
+    # The localization oracle is a second route to every pairing entry, g <= 8.
+    for g in range(1, 9):
+        socle = tuple(range(1, g))
+        for k in range(top_degree(g) + 1):
+            m = pairing_matrix(g, k)
+            for s, row in zip(m.rows, m.entries):
+                for t, x in zip(m.cols, row):
+                    assert x == oracle_reduce(mono(g, s + t)).coefficient(socle), (g, k, s, t)
 
 
 def test_normal_forms_run_on_int_and_surface_as_fraction():
@@ -301,7 +343,7 @@ def _shifted_staircase_tableaux(m):
 
 
 def test_lambda_1_power_matches_closed_form():
-    # Third oracle, closed form, beyond the linear-algebra oracle's genus cap.
+    # Third oracle, closed form, beyond the localization oracle's genus cap.
     # g = 15 is past the depth at which recursive rewriting stopped.
     for g in range(2, 16):
         expected = 2 ** ((g - 1) * (g - 2) // 2) * _shifted_staircase_tableaux(g - 1)
@@ -335,16 +377,16 @@ def test_sweep_matches_recursive_rewriting():
 
 def test_ideal_slices_are_built_on_int(monkeypatch):
     slices = []
-    rref = ring.rref
+    rref = ideal_slice_elimination.rref
 
     def recording_rref(rows):
         slices.append(rows)
         return rref(rows)
 
-    monkeypatch.setattr(ring, "rref", recording_rref)
-    for g in range(1, ring.ORACLE_GENUS_CAP + 1):
+    monkeypatch.setattr(ideal_slice_elimination, "rref", recording_rref)
+    for g in range(1, 7):
         for w in range(top_degree(g) + 1):
-            ring._ideal_slice_rref.__wrapped__(g, w)
+            ideal_slice_elimination._ideal_slice_rref.__wrapped__(g, w)
     assert slices and all(type(x) is int for rows in slices for row in rows for x in row)
 
 
