@@ -34,6 +34,24 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def as_int(value) -> int:
+    """An int as is; a float, a str, a bool or any other type is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an int, got {type(value).__name__}")
+    return value
+
+
+def parse_rational(text: str) -> Fraction:
+    """The Fraction that a "p/q" string names.  A value that is not a str is
+    a TypeError, never converted; a zero denominator is a ValueError."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a 'p/q' string, got {type(text).__name__}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in coefficient {text!r}") from exc
+
+
 class Factorization:
     """Prime factorization of a positive integer, primes strictly increasing."""
 

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of ints and Fractions.  Just enough Gaussian
-elimination for pairing matrices and the triangular basis-change
-transforms; nothing here is numerical.  Integer matrices stay
-on int until a pivot other than +-1 forces a Fraction, so an integer matrix
-with unit pivots, such as a unit-triangular one, inverts entirely on int.
+Matrices are lists of lists of ints and Fractions; nothing here is
+numerical.  Just enough Gaussian elimination for the rank of a pairing
+matrix that carries no unitriangularity certificate (ring's fallback and
+verify's rank oracle), the matrix product that verify's basis-change suite
+checks, and `invert` as public API and as the test oracle of the closed-form
+basis-change transforms.  Integer matrices stay on int until a pivot other
+than +-1 forces a Fraction, so an integer matrix with unit pivots, such as
+a unit-triangular one, inverts entirely on int.
 """
 
 from __future__ import annotations

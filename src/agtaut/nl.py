@@ -9,11 +9,11 @@ and u = 2) are implemented as separate code paths purely to cross-check
 this constant.  Each prime product is evaluated as a Jacobi totient ratio,
 prod_{p | n} (1 - p^(-s)) = J_s(n) / n^s.
 
-The elliptic-homomorphism ("tilde") cycles are related to the plain ones by
-the unit-triangular divisor-sum transform with kernel sigma_1(d / dhat);
-packaging their projections into a q-series yields the weight-2g Eisenstein
-series, normalized here with constant term 1 and q-coefficients
--(4g / B_2g) sigma_{2g-1}(d).
+The elliptic-homomorphism ("tilde") cycles are divisor sums of the plain
+ones with kernel sigma_1; the inverse transform has kernel mu * (n mu(n)),
+the Dirichlet inverse of sigma_1 = 1 * id.  Packaging the tilde projections
+into a q-series yields the weight-2g Eisenstein series, normalized here with
+constant term 1 and q-coefficients -(4g / B_2g) sigma_{2g-1}(d).
 
 Only u = 1 and u = 2 product-cycle projections are supported; larger u is
 out of scope and rejected.
@@ -29,11 +29,21 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from .arith import abs_bernoulli, as_rational, bernoulli, divisors, jacobi_totient, sigma
+from .arith import (
+    abs_bernoulli,
+    as_int,
+    as_rational,
+    bernoulli,
+    dirichlet_convolve,
+    divisors,
+    jacobi_totient,
+    mobius,
+    parse_rational,
+    sigma,
+)
 from .degrees import PolarizationType, nl_constant
-from .linalg import Matrix, invert
 from .ring import LambdaPolynomial, TautClass, multiply, reduce
 
 
@@ -61,15 +71,10 @@ class QSeries:
 
     def __str__(self) -> str:
         bits = [str(self.coeffs[0])]
-        for d in range(1, self.order + 1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            power = "q" if d == 1 else f"q^{d}"
-            if c < 0:
-                bits.append(f"- {-c} {power}")
-            else:
-                bits.append(f"+ {c} {power}")
+        for d, c in enumerate(self.coeffs[1:], 1):
+            if c:
+                power = "q" if d == 1 else f"q^{d}"
+                bits.append(f"- {-c} {power}" if c < 0 else f"+ {c} {power}")
         return " ".join(bits)
 
     def __repr__(self) -> str:
@@ -83,8 +88,8 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSeries":
-        series = cls([Fraction(c) for c in data["coeffs"]])
-        if series.order != int(data["order"]):
+        series = cls([parse_rational(c) for c in data["coeffs"]])
+        if series.order != as_int(data["order"]):
             raise ValueError("stored order does not match coefficient count")
         return series
 
@@ -159,49 +164,51 @@ def taut_nl_pair_special(g: int, d1: int, d2: int) -> TautClass:
 # -- tilde cycles and the Eisenstein identity ------------------------------
 
 
-def tilde_to_plain(D: int) -> Matrix:
-    """Basis change expressing each tilde cycle as a divisor sum of plain
-    cycles, d in [1, D]: M[d, dhat] = sigma_1(d / dhat) when dhat | d,
-    else 0.  Unit diagonal, lower triangular, int entries."""
+def _divisor_matrix(D: int, kernel: Callable[[int], int]) -> List[List[int]]:
+    """The divisor-sum transform on d, dhat in [1, D]: M[d, dhat] =
+    kernel(d / dhat) when dhat | d, else 0."""
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    matrix = [[0] * D for _ in range(D)]
-    for d in range(1, D + 1):
-        for dhat in divisors(d):
-            matrix[d - 1][dhat - 1] = sigma(1, d // dhat)
-    return matrix
+    span = range(1, D + 1)
+    values = [kernel(n) for n in span]
+    return [[values[d // dhat - 1] if d % dhat == 0 else 0 for dhat in span] for d in span]
 
 
-def plain_to_tilde(D: int) -> Matrix:
-    """Exact inverse of tilde_to_plain; the roundtrip is the identity."""
-    return invert(tilde_to_plain(D))
+def tilde_to_plain(D: int) -> List[List[int]]:
+    """Each tilde cycle as a divisor sum of plain cycles, d in [1, D]:
+    kernel sigma_1.  Unit diagonal, lower triangular, int entries."""
+    return _divisor_matrix(D, lambda n: sigma(1, n))
+
+
+def plain_to_tilde(D: int) -> List[List[int]]:
+    """Inverse of tilde_to_plain: kernel mu * (n mu(n)), the Dirichlet
+    inverse of sigma_1 = 1 * id.  Int entries."""
+    return _divisor_matrix(D, lambda n: dirichlet_convolve(mobius, lambda m: m * mobius(m), n))
 
 
 def taut_nl_tilde(g: int, d: int) -> TautClass:
     """Projection of the degree-d elliptic-homomorphism cycle.
 
-    For d >= 1 this is computed along two independent routes, the divisor
-    sum over plain cycles and the closed form
-    (g sigma_{2g-1}(d) / (6 |B_2g|)) lambda_{g-1}; their equality is
-    asserted on every call.  The d = 0 class is the convention
-    ((-1)^g / 24) lambda_{g-1}.
+    For d >= 1 the lambda_{g-1} coefficient is computed along two
+    independent routes, the divisor sum over the plain cycles of
+    taut_nl_d_special and the closed form g sigma_{2g-1}(d) / (6 |B_2g|);
+    their equality is asserted on every call.  The d = 0 class is the
+    convention ((-1)^g / 24) lambda_{g-1}.
     """
     if g < 2 or d < 0:
         raise ValueError(f"requires g >= 2 and d >= 0, got ({g}, {d})")
     if d == 0:
         return TautClass.monomial(g, (g - 1,), Fraction((-1) ** g, 24))
-    total = TautClass.zero(g)
-    for dhat in divisors(d):
-        total = total + sigma(1, d // dhat) * taut_nl_d_special(g, dhat)
-    closed = TautClass.monomial(
-        g, (g - 1,), Fraction(g) * sigma(2 * g - 1, d) / (6 * abs_bernoulli(2 * g))
+    total = sum(
+        sigma(1, d // dhat) * taut_nl_d_special(g, dhat).coefficient((g - 1,))
+        for dhat in divisors(d)
     )
+    closed = Fraction(g * sigma(2 * g - 1, d)) / (6 * abs_bernoulli(2 * g))
     if total != closed:
         raise AssertionError(
-            f"tilde routes disagree at (g={g}, d={d}): "
-            f"divisor sum {total} vs closed form {closed}"
+            f"tilde routes disagree at (g={g}, d={d}): divisor sum {total} vs closed form {closed}"
         )
-    return closed
+    return TautClass.monomial(g, (g - 1,), closed)
 
 
 def eisenstein_series(g: int, D: int) -> QSeries:
@@ -215,10 +222,7 @@ def eisenstein_series(g: int, D: int) -> QSeries:
     if g < 2 or D < 0:
         raise ValueError(f"requires g >= 2 and D >= 0, got ({g}, {D})")
     lead = Fraction(-4 * g) / bernoulli(2 * g)
-    coeffs = [Fraction(1)]
-    for d in range(1, D + 1):
-        coeffs.append(lead * sigma(2 * g - 1, d))
-    return QSeries(coeffs)
+    return QSeries([1] + [lead * sigma(2 * g - 1, d) for d in range(1, D + 1)])
 
 
 # -- formal expressions and the projection calculus ------------------------
@@ -301,10 +305,7 @@ def parse_expression(g: int, text: str) -> NLExpression:
         pieces = [piece.strip() for piece in chunk.split("*")]
         coeff = Fraction(1)
         if _TOKEN_RATIONAL.match(pieces[0]):
-            try:
-                coeff = Fraction(pieces[0])
-            except ZeroDivisionError as exc:
-                raise ValueError(f"zero denominator in coefficient {pieces[0]!r}") from exc
+            coeff = parse_rational(pieces[0])
             pieces = pieces[1:]
         if not 1 <= len(pieces) <= 2:
             raise ValueError(

@@ -53,7 +53,7 @@ from math import lcm, prod
 from operator import add
 from typing import Iterable, List, Tuple
 
-from .arith import as_rational
+from .arith import as_int, as_rational, parse_rational
 from .linalg import is_nonsingular
 
 # The oracle sums over 2^(g-1) fixed points for every pairing it solves.
@@ -359,9 +359,10 @@ class TautClass(_SparseTerms):
     @classmethod
     def from_json_dict(cls, data: dict) -> "TautClass":
         terms = {
-            tuple(item["indices"]): Fraction(item["coeff"]) for item in data["terms"]
+            tuple(map(as_int, item["indices"])): parse_rational(item["coeff"])
+            for item in data["terms"]
         }
-        return cls(int(data["g"]), terms)
+        return cls(as_int(data["g"]), terms)
 
     @classmethod
     def from_json(cls, text: str) -> "TautClass":

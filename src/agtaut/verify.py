@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import degrees, gw, nl, ring
 from .arith import dirichlet_convolve, divisors, jacobi_totient, sigma
-from .linalg import is_nonsingular
+from .linalg import identity, is_nonsingular, mat_mul
 
 
 class VerificationFailure(Exception):
@@ -310,8 +310,6 @@ def check_projection_calculus() -> str:
 
 
 def check_basis_change() -> str:
-    from .linalg import identity, mat_mul
-
     D = 100
     forward = nl.tilde_to_plain(D)
     backward = nl.plain_to_tilde(D)

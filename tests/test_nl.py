@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 import displayed_forms
-from agtaut import degrees
+from agtaut import degrees, nl
+from agtaut.arith import factorize
 from agtaut.degrees import deg_phi
-from agtaut.linalg import identity, mat_mul
+from agtaut.linalg import identity, invert, mat_mul
 from agtaut.nl import (
     NLExpression,
     PolarizationType,
@@ -193,8 +194,39 @@ def test_plain_to_tilde_inverse():
     forward = tilde_to_plain(6)
     backward = plain_to_tilde(6)
     assert mat_mul(backward, forward) == identity(6)
-    # unit-triangular integer matrices invert without leaving int
+    # both kernels are integer-valued, so both transforms stay on int
     assert all(type(x) is int for row in forward + backward for x in row)
+
+
+def test_plain_to_tilde_equals_elimination():
+    # The leading blocks of a triangular inverse are the inverses of the
+    # leading blocks, so D = 100 covers every D <= 100.
+    backward = plain_to_tilde(100)
+    assert backward == invert(tilde_to_plain(100))
+    assert all(type(x) is int for row in backward for x in row)
+
+
+def test_plain_to_tilde_kernel_at_prime_powers():
+    # The Dirichlet inverse of sigma_1 is multiplicative, with value
+    # -(1 + p) at p, p at p^2 and 0 at p^e for e >= 3.
+    def at_prime_power(p, e):
+        return {1: -(1 + p), 2: p}.get(e, 0)
+
+    column = [row[0] for row in plain_to_tilde(100)]
+    assert column[0] == 1
+    for n in range(2, 101):
+        expected = 1
+        for p, e in factorize(n).factors:
+            expected *= at_prime_power(p, e)
+        assert column[n - 1] == expected, n
+    assert column[1] == -3 and column[3] == 2 and column[7] == 0 and column[8] == 3
+
+
+def test_tilde_divisor_sum_is_checked(monkeypatch):
+    # A wrong u = 1 coefficient must make the divisor-sum route disagree.
+    monkeypatch.setattr(nl, "taut_nl_d_special", lambda g, d: taut(g, (g - 1,), 1))
+    with pytest.raises(AssertionError, match="tilde routes disagree"):
+        taut_nl_tilde(3, 6)
 
 
 # -- Eisenstein series ---------------------------------------------------------
@@ -232,6 +264,29 @@ def test_qseries_interface():
         QSeries([])
     with pytest.raises(TypeError):
         QSeries([1, 0.1])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"order": 1, "coeffs": ["1", 0.5]}',
+        '{"order": 1, "coeffs": ["1", 2]}',
+        '{"order": "1", "coeffs": ["1", "2"]}',
+        '{"order": 1.0, "coeffs": ["1", "2"]}',
+        '{"order": true, "coeffs": ["1", "2"]}',
+    ],
+    ids=["float-coeff", "int-coeff", "str-order", "float-order", "bool-order"],
+)
+def test_qseries_json_rejects_non_schema_types(text):
+    with pytest.raises(TypeError):
+        QSeries.from_json(text)
+
+
+def test_qseries_json_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        QSeries.from_json('{"order": 1, "coeffs": ["1", "1/0"]}')
+    with pytest.raises(ValueError):
+        QSeries.from_json('{"order": 2, "coeffs": ["1", "2"]}')
 
 
 # -- ring-level vanishing -------------------------------------------------------

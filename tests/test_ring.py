@@ -412,3 +412,36 @@ def test_json_roundtrip():
     assert data["g"] == 4
     assert {"indices": [1, 3], "coeff": "5/3"} in data["terms"]
     assert TautClass.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"g": 3.7, "terms": [{"indices": [2], "coeff": 0.1}]}',
+        '{"g": 3, "terms": [{"indices": [2], "coeff": 0.1}]}',
+        '{"g": 3, "terms": [{"indices": [2], "coeff": 5}]}',
+        '{"g": 3.0, "terms": [{"indices": [2], "coeff": "5"}]}',
+        '{"g": "3", "terms": [{"indices": [2], "coeff": "5"}]}',
+        '{"g": 3, "terms": [{"indices": [2.0], "coeff": "5"}]}',
+        '{"g": 3, "terms": [{"indices": ["2"], "coeff": "5"}]}',
+        '{"g": 3, "terms": [{"indices": [true], "coeff": "5"}]}',
+    ],
+    ids=[
+        "float-g-and-coeff",
+        "float-coeff",
+        "int-coeff",
+        "float-g",
+        "str-g",
+        "float-index",
+        "str-index",
+        "bool-index",
+    ],
+)
+def test_json_rejects_non_schema_types(text):
+    with pytest.raises(TypeError):
+        TautClass.from_json(text)
+
+
+def test_json_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        TautClass.from_json('{"g": 3, "terms": [{"indices": [2], "coeff": "1/0"}]}')
