@@ -10,9 +10,10 @@ is used anywhere in the package.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 # The universal scalar type.  Fractions are always stored in lowest terms
 # with a positive denominator, and Python ints are arbitrary precision.
@@ -23,6 +24,8 @@ Rational = Fraction
 FACTORIZATION_CAP = 10**12
 
 ArithmeticFunction = Callable[[int], "Rational | int"]
+
+RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 def as_rational(value) -> Fraction:
@@ -41,11 +44,20 @@ def as_int(value) -> int:
     return value
 
 
+def as_list(value) -> list:
+    """A list as is; a str, a dict or any other type is a TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def parse_rational(text: str) -> Fraction:
-    """The Fraction that a "p/q" string names.  A value that is not a str is
-    a TypeError, never converted; a zero denominator is a ValueError."""
+    """The Fraction that a "p/q" string (RATIONAL_PATTERN) names.  A non-str is
+    a TypeError, never converted; any other str or a zero denominator is a ValueError."""
     if not isinstance(text, str):
         raise TypeError(f"expected a 'p/q' string, got {type(text).__name__}")
+    if not RATIONAL_PATTERN.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r}, expected 'p/q'")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
@@ -55,12 +67,11 @@ def parse_rational(text: str) -> Fraction:
 class Factorization:
     """Prime factorization of a positive integer, primes strictly increasing."""
 
-    __slots__ = ("base", "factors", "_divisors")
+    __slots__ = ("base", "factors")
 
     def __init__(self, base: int, factors: Tuple[Tuple[int, int], ...]):
         self.base = base
         self.factors = factors
-        self._divisors = None
 
     def primes(self) -> Tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -73,14 +84,10 @@ class Factorization:
         return 0
 
     def divisors(self) -> Tuple[int, ...]:
-        """Sorted divisors, built on first use and kept: ``factorize`` is
-        cached, so each n sorts its divisors once."""
-        if self._divisors is None:
-            divs = [1]
-            for p, e in self.factors:
-                divs = [d * p**i for d in divs for i in range(e + 1)]
-            self._divisors = tuple(sorted(divs))
-        return self._divisors
+        divs = [1]
+        for p, e in self.factors:
+            divs = [d * p**i for d in divs for i in range(e + 1)]
+        return tuple(sorted(divs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -222,8 +229,14 @@ def mobius(n: int) -> int:
     return -1 if len(factors) % 2 else 1
 
 
-def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction, n: int) -> int | Fraction:
-    """(f * g)(n) = sum_{m | n} f(m) g(n/m); an int when f and g give ints."""
-    if n < 1:
-        raise ValueError(f"dirichlet_convolve requires n >= 1, got {n}")
-    return sum(f(m) * g(n // m) for m in divisors(n))
+def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction, N: int) -> List[int | Fraction]:
+    """[(f * g)(n) for n = 1..N], f and g evaluated once per n.  One pass over
+    multiples: the slice out[a - 1 :: a] holds n = ab for b = 1..N // a and
+    gains f(a) g(b); every sum starts from int 0."""
+    if N < 1:
+        raise ValueError(f"dirichlet_convolve requires N >= 1, got {N}")
+    g_values = [g(b) for b in range(1, N + 1)]
+    out = [0] * N
+    for a, fa in enumerate(map(f, range(1, N + 1)), 1):
+        out[a - 1 :: a] = [total + fa * gb for total, gb in zip(out[a - 1 :: a], g_values)]
+    return out

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple
 
 from . import degrees, gw, nl, ring, verify
+from .arith import parse_rational
 
 
 class UsageError(Exception):
@@ -38,13 +38,6 @@ def _parse_delta(text: str) -> nl.PolarizationType:
         return nl.PolarizationType(entries)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed rational {text!r}") from exc
 
 
 class _Command(NamedTuple):
@@ -97,9 +90,7 @@ def _gw_predict(args):
         value = gw.gw_tau1_lambda(args.g, args.d)
         insertion = "lambda_g*lambda_{g-2}"
     else:
-        value = gw.conjecture_prediction(
-            args.g, args.d, args.i, _parse_rational(args.integral)
-        )
+        value = gw.conjecture_prediction(args.g, args.d, args.i, args.integral)
         insertion = "supplied"
     return gw.GWPrediction(args.g, args.d, args.i, insertion, value)
 
@@ -183,8 +174,7 @@ COMMANDS: Dict[str, _Command] = {
             "--d": _INT,
             "--i": dict(type=int, default=1),
             "--integral": dict(
-                type=str,
-                default=None,
+                type=parse_rational,
                 help="Hodge/psi integral as p/q; default derives the printed case",
             ),
         },

@@ -29,11 +29,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .arith import (
+    RATIONAL_PATTERN,
     abs_bernoulli,
     as_int,
+    as_list,
     as_rational,
     bernoulli,
     dirichlet_convolve,
@@ -88,7 +90,7 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSeries":
-        series = cls([parse_rational(c) for c in data["coeffs"]])
+        series = cls([parse_rational(c) for c in as_list(data["coeffs"])])
         if series.order != as_int(data["order"]):
             raise ValueError("stored order does not match coefficient count")
         return series
@@ -164,26 +166,25 @@ def taut_nl_pair_special(g: int, d1: int, d2: int) -> TautClass:
 # -- tilde cycles and the Eisenstein identity ------------------------------
 
 
-def _divisor_matrix(D: int, kernel: Callable[[int], int]) -> List[List[int]]:
-    """The divisor-sum transform on d, dhat in [1, D]: M[d, dhat] =
-    kernel(d / dhat) when dhat | d, else 0."""
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
-    span = range(1, D + 1)
-    values = [kernel(n) for n in span]
-    return [[values[d // dhat - 1] if d % dhat == 0 else 0 for dhat in span] for d in span]
+def _divisor_matrix(kernel: List[int]) -> List[List[int]]:
+    """The divisor-sum transform on d, dhat in [1, D], from the kernel's
+    values at 1..D: M[d, dhat] = kernel(d / dhat) when dhat | d, else 0."""
+    span = range(1, len(kernel) + 1)
+    return [[kernel[d // dhat - 1] if d % dhat == 0 else 0 for dhat in span] for d in span]
 
 
 def tilde_to_plain(D: int) -> List[List[int]]:
     """Each tilde cycle as a divisor sum of plain cycles, d in [1, D]:
     kernel sigma_1.  Unit diagonal, lower triangular, int entries."""
-    return _divisor_matrix(D, lambda n: sigma(1, n))
+    if D < 1:
+        raise ValueError(f"D must be >= 1, got {D}")
+    return _divisor_matrix([sigma(1, n) for n in range(1, D + 1)])
 
 
 def plain_to_tilde(D: int) -> List[List[int]]:
     """Inverse of tilde_to_plain: kernel mu * (n mu(n)), the Dirichlet
     inverse of sigma_1 = 1 * id.  Int entries."""
-    return _divisor_matrix(D, lambda n: dirichlet_convolve(mobius, lambda m: m * mobius(m), n))
+    return _divisor_matrix(dirichlet_convolve(mobius, lambda n: n * mobius(n), D))
 
 
 def taut_nl_tilde(g: int, d: int) -> TautClass:
@@ -232,7 +233,6 @@ Symbol = Tuple[str, tuple]
 _NL_KINDS = ("NL", "NLt", "P")
 
 _TOKEN_SYMBOL = re.compile(r"^(NL|NLt|P|L)\(([0-9,\s]*)\)$")
-_TOKEN_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def _make_symbol(kind: str, args: Tuple[int, ...], g: int) -> Symbol:
@@ -304,7 +304,7 @@ def parse_expression(g: int, text: str) -> NLExpression:
             raise ValueError("empty term in expression")
         pieces = [piece.strip() for piece in chunk.split("*")]
         coeff = Fraction(1)
-        if _TOKEN_RATIONAL.match(pieces[0]):
+        if RATIONAL_PATTERN.fullmatch(pieces[0]):
             coeff = parse_rational(pieces[0])
             pieces = pieces[1:]
         if not 1 <= len(pieces) <= 2:

@@ -53,7 +53,7 @@ from math import lcm, prod
 from operator import add
 from typing import Iterable, List, Tuple
 
-from .arith import as_int, as_rational, parse_rational
+from .arith import as_int, as_list, as_rational, parse_rational
 from .linalg import is_nonsingular
 
 # The oracle sums over 2^(g-1) fixed points for every pairing it solves.
@@ -359,8 +359,8 @@ class TautClass(_SparseTerms):
     @classmethod
     def from_json_dict(cls, data: dict) -> "TautClass":
         terms = {
-            tuple(map(as_int, item["indices"])): parse_rational(item["coeff"])
-            for item in data["terms"]
+            tuple(map(as_int, as_list(item["indices"]))): parse_rational(item["coeff"])
+            for item in as_list(data["terms"])
         }
         return cls(as_int(data["g"]), terms)
 

@@ -171,15 +171,11 @@ def check_eisenstein_identity() -> str:
     # because d sigma_{-1}(m) J(d/m) = sigma_1(m) (d/m) J(d/m).
     checked = 0
     for g in range(2, 11):
-        k = 2 * g - 2
-        scaled_totient = lambda n, k=k: n * jacobi_totient(k, n)
-        div_sum = lambda n: sigma(1, n)
-        for d in range(1, 10001):
-            _demand(
-                f"convolution identity at g={g}, d={d}",
-                dirichlet_convolve(div_sum, scaled_totient, d),
-                sigma(2 * g - 1, d),
-            )
+        convolution = dirichlet_convolve(
+            lambda n: sigma(1, n), lambda n: n * jacobi_totient(2 * g - 2, n), 10000
+        )
+        for d, value in enumerate(convolution, 1):
+            _demand(f"convolution identity at g={g}, d={d}", value, sigma(2 * g - 1, d))
             checked += 1
     return f"series matches tilde projections (g<=8, d<=50); convolution identity on {checked} cases"
 

@@ -6,6 +6,7 @@ import pytest
 
 from agtaut.arith import (
     FACTORIZATION_CAP,
+    RATIONAL_PATTERN,
     abs_bernoulli,
     bernoulli,
     dirichlet_convolve,
@@ -14,6 +15,7 @@ from agtaut.arith import (
     is_prime,
     jacobi_totient,
     mobius,
+    parse_rational,
     sigma,
 )
 
@@ -31,6 +33,12 @@ def bernoulli_by_recurrence(limit):
 
 def sigma_by_divisor_sum(k, n):
     return sum((Fraction(d) ** k for d in divisors(n)), Fraction(0))
+
+
+def dirichlet_convolve_by_divisors(f, g, n):
+    """(f * g)(n) by walking the divisors of one n: the per-n form that the
+    table replaced."""
+    return sum(f(m) * g(n // m) for m in divisors(n))
 
 
 def jacobi_totient_by_product(k, n):
@@ -103,10 +111,11 @@ def test_jacobi_totient_values():
 
 def test_jacobi_totient_is_moebius_convolution():
     for k in range(2, 9):
-        for n in range(1, 1001):
+        table = dirichlet_convolve(lambda m: m**k, mobius, 1000)
+        for n, convolution in enumerate(table, 1):
             value = jacobi_totient(k, n)
             assert value.denominator == 1
-            assert value == dirichlet_convolve(lambda m, k=k: m**k, mobius, n)
+            assert value == convolution, (k, n)
 
 
 def test_jacobi_totient_matches_product_form():
@@ -120,13 +129,15 @@ def test_eisenstein_convolution_integer_form():
     # the form the eisenstein-identity suite evaluates, against the original
     for g in range(2, 11):
         k = 2 * g - 2
+        integer_table = dirichlet_convolve(
+            lambda m: sigma(1, m), lambda n: n * jacobi_totient(k, n), 300
+        )
+        rational_table = dirichlet_convolve(
+            lambda m: sigma(-1, m), lambda n: jacobi_totient(k, n), 300
+        )
         for d in range(1, 301):
-            integer_form = dirichlet_convolve(
-                lambda m: sigma(1, m), lambda n, k=k: n * jacobi_totient(k, n), d
-            )
-            rational_form = d * dirichlet_convolve(
-                lambda m: sigma(-1, m), lambda n, k=k: jacobi_totient(k, n), d
-            )
+            integer_form = integer_table[d - 1]
+            rational_form = d * rational_table[d - 1]
             assert type(integer_form) is int
             assert integer_form == rational_form == sigma(2 * g - 1, d), (g, d)
 
@@ -141,13 +152,58 @@ def test_mobius_values():
 
 def test_dirichlet_convolution_examples():
     # 1 * mu is the convolution identity: zero away from n = 1
-    assert dirichlet_convolve(lambda m: 1, mobius, 5) == 0
-    assert dirichlet_convolve(lambda m: 1, mobius, 1) == 1
-    assert dirichlet_convolve(lambda m: sigma(-1, m), lambda m: jacobi_totient(2, m), 1) == 1
-    lhs = 4 * dirichlet_convolve(
-        lambda m: sigma(-1, m), lambda m: jacobi_totient(2, m), 4
-    )
+    assert dirichlet_convolve(lambda m: 1, mobius, 5)[4] == 0
+    assert dirichlet_convolve(lambda m: 1, mobius, 1) == [1]
+    table = dirichlet_convolve(lambda m: sigma(-1, m), lambda m: jacobi_totient(2, m), 4)
+    assert table[0] == 1
+    lhs = 4 * table[3]
     assert lhs == 73 == sigma(3, 4)
+
+
+@pytest.mark.parametrize(
+    "f,g,integral",
+    [
+        *((lambda m: 1, lambda m, k=k: m**k, True) for k in range(4)),
+        (mobius, lambda m: m * mobius(m), True),
+        (lambda m: sigma(-1, m), lambda m: jacobi_totient(2, m), False),
+    ],
+    ids=["one-id0", "one-id1", "one-id2", "one-id3", "mu-n-mu", "sigma-1-J2"],
+)
+def test_dirichlet_convolution_table_matches_divisor_walk(f, g, integral):
+    table = dirichlet_convolve(f, g, 2000)
+    assert len(table) == 2000
+    for n, value in enumerate(table, 1):
+        assert value == dirichlet_convolve_by_divisors(f, g, n), n
+        if integral:
+            assert type(value) is int, n
+
+
+def test_dirichlet_convolution_rejects_empty_range():
+    for N in (0, -3):
+        with pytest.raises(ValueError):
+            dirichlet_convolve(lambda m: 1, mobius, N)
+
+
+@pytest.mark.parametrize("text", ["1", "-3", "+7", "5/3", "-1/2", "0/4", "12/8"])
+def test_parse_rational_accepts_the_grammar(text):
+    assert RATIONAL_PATTERN.fullmatch(text)
+    assert parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["0.5", "1e3", " 1/2 ", "1/2\n", "1 / 2", "/2", "1/", "1/-2", "", "0x10", "1_000"]
+)
+def test_parse_rational_rejects_other_text(text):
+    with pytest.raises(ValueError, match="malformed rational"):
+        parse_rational(text)
+
+
+def test_parse_rational_errors():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+    for value in (1, 0.5, None, ["1"]):
+        with pytest.raises(TypeError):
+            parse_rational(value)
 
 
 def test_factorize():

@@ -118,6 +118,13 @@ def test_gw_predict():
     assert code == 1 and "only the printed i=1 case" in err
 
 
+def test_gw_predict_integral_takes_only_p_over_q():
+    for text in ("0.5", "1e3", " 1/2 ", "1/0", "x"):
+        code, out, err = invoke(["gw-predict", "--g", "2", "--d", "1", "--integral", text])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: argument --integral") and repr(text) in err
+
+
 def test_diagnose_nl_composition():
     code, out, _ = invoke(["diagnose", "nl-composition", "--g", "4", "--delta", "1,2"])
     assert code == 0

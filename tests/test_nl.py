@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -188,6 +189,14 @@ def test_tilde_to_plain_entries():
     assert all(m[i][i] == 1 for i in range(6))
 
 
+def test_basis_change_rejects_empty_range():
+    for D in (0, -1):
+        with pytest.raises(ValueError):
+            tilde_to_plain(D)
+        with pytest.raises(ValueError):
+            plain_to_tilde(D)
+
+
 def test_plain_to_tilde_inverse():
     assert plain_to_tilde(1) == [[Fraction(1)]]
     assert plain_to_tilde(2) == [[Fraction(1), Fraction(0)], [Fraction(-3), Fraction(1)]]
@@ -274,8 +283,20 @@ def test_qseries_interface():
         '{"order": "1", "coeffs": ["1", "2"]}',
         '{"order": 1.0, "coeffs": ["1", "2"]}',
         '{"order": true, "coeffs": ["1", "2"]}',
+        '{"order": 1, "coeffs": "12"}',
+        '{"order": 0, "coeffs": {"1": "1"}}',
+        '{"order": 0, "coeffs": null}',
     ],
-    ids=["float-coeff", "int-coeff", "str-order", "float-order", "bool-order"],
+    ids=[
+        "float-coeff",
+        "int-coeff",
+        "str-order",
+        "float-order",
+        "bool-order",
+        "str-coeffs",
+        "dict-coeffs",
+        "null-coeffs",
+    ],
 )
 def test_qseries_json_rejects_non_schema_types(text):
     with pytest.raises(TypeError):
@@ -287,6 +308,12 @@ def test_qseries_json_rejects_zero_denominator():
         QSeries.from_json('{"order": 1, "coeffs": ["1", "1/0"]}')
     with pytest.raises(ValueError):
         QSeries.from_json('{"order": 2, "coeffs": ["1", "2"]}')
+
+
+@pytest.mark.parametrize("coeff", ["0.5", "1e3", " 1/2 ", "1/2 ", "1.0"])
+def test_qseries_json_rejects_text_outside_the_rational_grammar(coeff):
+    with pytest.raises(ValueError, match="malformed rational"):
+        QSeries.from_json(json.dumps({"order": 1, "coeffs": ["1", coeff]}))
 
 
 # -- ring-level vanishing -------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -425,6 +426,10 @@ def test_json_roundtrip():
         '{"g": 3, "terms": [{"indices": [2.0], "coeff": "5"}]}',
         '{"g": 3, "terms": [{"indices": ["2"], "coeff": "5"}]}',
         '{"g": 3, "terms": [{"indices": [true], "coeff": "5"}]}',
+        '{"g": 3, "terms": ""}',
+        '{"g": 3, "terms": {}}',
+        '{"g": 3, "terms": [{"indices": "", "coeff": "5"}]}',
+        '{"g": 3, "terms": [{"indices": {}, "coeff": "5"}]}',
     ],
     ids=[
         "float-g-and-coeff",
@@ -435,6 +440,10 @@ def test_json_roundtrip():
         "float-index",
         "str-index",
         "bool-index",
+        "str-terms",
+        "dict-terms",
+        "str-indices",
+        "dict-indices",
     ],
 )
 def test_json_rejects_non_schema_types(text):
@@ -445,3 +454,10 @@ def test_json_rejects_non_schema_types(text):
 def test_json_rejects_zero_denominator():
     with pytest.raises(ValueError):
         TautClass.from_json('{"g": 3, "terms": [{"indices": [2], "coeff": "1/0"}]}')
+
+
+@pytest.mark.parametrize("coeff", ["0.5", "1e3", " 1/2 ", "1/2\n", "1.0"])
+def test_json_rejects_text_outside_the_rational_grammar(coeff):
+    text = json.dumps({"g": 3, "terms": [{"indices": [2], "coeff": coeff}]})
+    with pytest.raises(ValueError, match="malformed rational"):
+        TautClass.from_json(text)
