@@ -22,7 +22,6 @@ from .arith import (
     sigma,
 )
 from .degrees import (
-    DegreeResult,
     PolarizationType,
     ScaledMatrixShape,
     deg_phi,
@@ -39,7 +38,7 @@ from .degrees import (
     sp_order,
     sp_order_prime,
 )
-from .gw import GWPrediction, conjecture_prediction, gw_tau1_lambda, triple_hodge_integral
+from .gw import conjecture_prediction, gw_tau1_lambda, triple_hodge_integral
 from .nl import (
     NLExpression,
     QSeries,

@@ -27,15 +27,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_delta(text: str) -> nl.PolarizationType:
+def _parse_ints(text: str, what: str) -> List[int]:
+    """The ints of a comma-separated list, [] for ''; an empty item is a usage error."""
     try:
-        entries = [int(x) for x in text.split(",") if x.strip()]
+        return [int(item) for item in text.split(",")] if text else []
     except ValueError as exc:
-        raise UsageError(f"malformed polarization type {text!r}: {exc}") from exc
-    if not entries:
-        raise UsageError(f"malformed polarization type {text!r}")
+        raise UsageError(f"malformed {what} {text!r}: {exc}") from exc
+
+
+def _parse_delta(text: str) -> degrees.PolarizationType:
     try:
-        return nl.PolarizationType(entries)
+        return degrees.PolarizationType(_parse_ints(text, "polarization type"))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -47,7 +49,7 @@ class _Command(NamedTuple):
 
 
 class _Report(NamedTuple):
-    """Result of a subcommand whose library call returns no result type."""
+    """Printed text and JSON of a value that carries no rendering of its own."""
 
     text: str
     data: dict
@@ -60,22 +62,25 @@ class _Report(NamedTuple):
 
 
 def _ring_reduce(args):
-    try:
-        indices = [int(x) for x in args.indices.split(",") if x.strip()]
-    except ValueError as exc:
-        raise UsageError(f"malformed index list {args.indices!r}") from exc
+    indices = _parse_ints(args.indices, "index list")
     return ring.reduce(ring.LambdaPolynomial.monomial(args.g, indices))
+
+
+def _degree(value: int, route: str) -> _Report:
+    return _Report(str(value), {"degree": str(value), "route": route})
 
 
 def _deg_phi(args):
     delta = _parse_delta(args.delta)
-    if args.route == degrees.ROUTE_CLOSED:
-        return degrees.deg_phi(args.g, delta)
-    if args.route == degrees.ROUTE_STRATIFIED:
-        return degrees.deg_phi_crt(args.g, delta)
-    if args.g != 1 or delta.u != 1:
+    if args.route == "closed_form":
+        value = degrees.deg_phi(args.g, delta)
+    elif args.route == "stratified":
+        value = degrees.deg_phi_crt(args.g, delta)
+    elif args.g == 1 and delta.u == 1:
+        value = degrees.oracle_index(delta.entries[0])
+    else:
         raise UsageError("enumeration route exists only for g=1 and a length-1 chain")
-    return degrees.oracle_index(delta.entries[0])
+    return _degree(value, args.route)
 
 
 def _sp_order(args):
@@ -92,7 +97,8 @@ def _gw_predict(args):
     else:
         value = gw.conjecture_prediction(args.g, args.d, args.i, args.integral)
         insertion = "supplied"
-    return gw.GWPrediction(args.g, args.d, args.i, insertion, value)
+    data = {"g": args.g, "d": args.d, "i": args.i, "insertion": insertion, "value": str(value)}
+    return _Report(str(value), data)
 
 
 def _diagnose(args):
@@ -152,12 +158,8 @@ COMMANDS: Dict[str, _Command] = {
             "--delta": _CHAIN,
             "--route": dict(
                 type=str,
-                default=degrees.ROUTE_CLOSED,
-                choices=[
-                    degrees.ROUTE_CLOSED,
-                    degrees.ROUTE_STRATIFIED,
-                    degrees.ROUTE_ENUMERATION,
-                ],
+                default="closed_form",
+                choices=["closed_form", "stratified", "enumeration"],
             ),
         },
         _deg_phi,
@@ -165,7 +167,7 @@ COMMANDS: Dict[str, _Command] = {
     "deg-pi": _Command(
         "degree of the level-forgetting cover",
         {"--delta": _CHAIN},
-        lambda args: degrees.deg_pi(args.g, _parse_delta(args.delta)),
+        lambda args: _degree(degrees.deg_pi(args.g, _parse_delta(args.delta)), "closed_form"),
     ),
     "sp-order": _Command("order of the symplectic group over Z/N", {"--n": _INT}, _sp_order),
     "gw-predict": _Command(

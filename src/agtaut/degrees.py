@@ -30,7 +30,9 @@ automorphisms of the kernel.
 
 The closed forms evaluate each prime product as J_s(n) / n^s (Jacobi
 totient); the stratified route counts on int, and the isotropic tuple count
-keeps the prime product as its second printed form.
+keeps the prime product as its second printed form.  Every degree is
+returned as a plain int; deg_pi passes through the rational chain
+correction and refuses a non-integral result.
 
 The NL locus is reached through these covers, so the polarization types
 and the NL constant C(delta) * deg_phi_{g-u}(delta) live here too.
@@ -45,16 +47,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Tuple, Union
 
-from .arith import factorize, is_prime, jacobi_totient
+from .arith import as_int, factorize, is_prime, jacobi_totient
 
 # Enumeration caps.  AGTAUT_ORACLE_CAP may lower (or restore) them, but
 # never exceeds them.
 ORACLE_INDEX_HARD_CAP = 8
 SL2_ENUMERATION_HARD_CAP = 16
-
-ROUTE_CLOSED = "closed_form"
-ROUTE_STRATIFIED = "stratified"
-ROUTE_ENUMERATION = "enumeration"
 
 
 def _env_cap(hard: int) -> int:
@@ -72,7 +70,8 @@ class PolarizationType:
     """Divisibility chain (d_1 | d_2 | ... | d_u) of positive integers.
 
     Built from another PolarizationType, a single int or a sequence of
-    ints; an entry that is not an int is a TypeError, never truncated.
+    ints; an entry whose type is not exactly int (a bool, a float) is a
+    TypeError, never truncated.
     """
 
     __slots__ = ("entries",)
@@ -81,10 +80,7 @@ class PolarizationType:
         if isinstance(entries, PolarizationType):
             self.entries = entries.entries  # already checked
             return
-        entries = (entries,) if isinstance(entries, int) else tuple(entries)
-        for d in entries:
-            if not isinstance(d, int):
-                raise TypeError(f"polarization type entries must be int, got {d!r}")
+        entries = tuple(map(as_int, (entries,) if isinstance(entries, int) else entries))
         if not entries:
             raise ValueError("polarization type must have at least one entry")
         if any(d < 1 for d in entries):
@@ -123,25 +119,6 @@ class PolarizationType:
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.entries)) + ")"
-
-
-@dataclass(frozen=True)
-class DegreeResult:
-    value: Fraction
-    route: str
-
-    def __post_init__(self):
-        if self.value.denominator != 1 or self.value <= 0:
-            raise ValueError(f"degree must be a positive integer, got {self.value}")
-
-    def __int__(self) -> int:
-        return int(self.value)
-
-    def __str__(self) -> str:
-        return str(int(self.value))
-
-    def to_json_dict(self) -> dict:
-        return {"degree": str(int(self.value)), "route": self.route}
 
 
 # -- symplectic group orders ----------------------------------------------
@@ -205,28 +182,26 @@ def isotropic_tuple_count(g: int, h: int, p: int) -> int:
 # -- closed-form degrees ----------------------------------------------------
 
 
-def deg_phi_special(g: int, k: int, h: int, d: int) -> DegreeResult:
+def deg_phi_special(g: int, k: int, h: int, d: int) -> int:
     """Degree for delta = (1^k, d^h): d^(h(2g+1)) prod_{p|d} prod_{i=g-h+1}^{g} (1 - p^(-2i))
     = prod_{i=g-h+1}^{g} d^(2g+1-2i) J_2i(d)."""
     if k + h != g:
         raise ValueError(f"k + h must equal g, got {k} + {h} != {g}")
     if k < 0 or h < 1 or d < 1:
         raise ValueError(f"requires k >= 0, h >= 1 and d >= 1, got k={k}, h={h}, d={d}")
-    value = math.prod(
+    return math.prod(
         d ** (2 * g + 1 - 2 * i) * jacobi_totient(2 * i, d) for i in range(g - h + 1, g + 1)
     )
-    return DegreeResult(Fraction(value), ROUTE_CLOSED)
 
 
-def deg_phi(g: int, delta) -> DegreeResult:
+def deg_phi(g: int, delta) -> int:
     """Closed-form degree for an arbitrary chain (shorter chains are padded
     with leading 1 entries up to length g): prod_j d_j^(2g+1-2j) J_2j(d_j)."""
     delta = PolarizationType(delta).padded(g)
-    value = math.prod(
+    return math.prod(
         d_j ** (2 * g + 1 - 2 * j) * jacobi_totient(2 * j, d_j)
         for j, d_j in enumerate(delta.entries, start=1)
     )
-    return DegreeResult(Fraction(value), ROUTE_CLOSED)
 
 
 # -- stratified route -------------------------------------------------------
@@ -281,7 +256,7 @@ class ScaledMatrixShape:
         return sum(self.n_count(i) for i in range(1, top + 1))
 
 
-def deg_phi_stratified(g: int, delta, p: int) -> DegreeResult:
+def deg_phi_stratified(g: int, delta, p: int) -> int:
     """Degree via the stratified p-adic count, for a chain of p-powers.
 
     The exponent of p is accumulated combinatorially from the shape, not
@@ -299,20 +274,18 @@ def deg_phi_stratified(g: int, delta, p: int) -> DegreeResult:
             f"and combine multiplicatively"
         )
     shape = ScaledMatrixShape(g, p, exponents)
-    value = 1
-    if shape.h:
-        # p^N(1) prod_{i=g-h+1}^{g} (1 - p^(-2i)) is the isotropic tuple count
-        higher = sum(shape.n_count(i) for i in range(2, 2 * exponents[-1] + 1))
-        value = p**higher * isotropic_tuple_count(g, shape.h, p)
-    return DegreeResult(Fraction(value), ROUTE_STRATIFIED)
+    if not shape.h:
+        return 1
+    # p^N(1) prod_{i=g-h+1}^{g} (1 - p^(-2i)) is the isotropic tuple count
+    higher = sum(shape.n_count(i) for i in range(2, 2 * exponents[-1] + 1))
+    return p**higher * isotropic_tuple_count(g, shape.h, p)
 
 
-def deg_phi_crt(g: int, delta) -> DegreeResult:
+def deg_phi_crt(g: int, delta) -> int:
     """Stratified degree for an arbitrary chain: product over its prime parts."""
     delta = PolarizationType(delta).padded(g)
     primes = factorize(delta.product).primes()
-    value = math.prod(int(deg_phi_stratified(g, delta.p_part(p), p)) for p in primes)
-    return DegreeResult(Fraction(value), ROUTE_STRATIFIED)
+    return math.prod(deg_phi_stratified(g, delta.p_part(p), p) for p in primes)
 
 
 # -- degree of the level-forgetting cover -----------------------------------
@@ -334,13 +307,13 @@ def _chain_correction(delta: PolarizationType) -> Fraction:
     return c
 
 
-def deg_pi(g: int, delta) -> DegreeResult:
+def deg_pi(g: int, delta) -> int:
     """deg_pi = deg_phi times the correction with d_k exponent 2g - 4k + 2."""
     delta = PolarizationType(delta).padded(g)
-    value = deg_phi(g, delta).value * _chain_correction(delta)
+    value = deg_phi(g, delta) * _chain_correction(delta)
     if value.denominator != 1:
         raise AssertionError(f"deg_pi({g}, {delta}) is not an integer: {value}")
-    return DegreeResult(value, ROUTE_CLOSED)
+    return value.numerator
 
 
 # -- enumeration oracle (genus 1) -------------------------------------------
@@ -397,7 +370,7 @@ def sp4_f2_order_enumerated() -> int:
     return count
 
 
-def oracle_index(d: int) -> DegreeResult:
+def oracle_index(d: int) -> int:
     """Genus-1 index oracle: exhaust SL_2(Z/d^2) as 4-tuples (tabulating the
     determinant condition in the last coordinate), count matrices of the
     congruence pattern (upper-left = 1 mod d, upper-right = 0 mod d^2,
@@ -414,7 +387,7 @@ def oracle_index(d: int) -> DegreeResult:
                 pattern += N  # lower-left entry is unconstrained
     if order % pattern != 0:
         raise AssertionError(f"pattern count {pattern} does not divide order {order}")
-    return DegreeResult(Fraction(order // pattern), ROUTE_ENUMERATION)
+    return order // pattern
 
 
 # -- the NL constant and the composition diagnostic --------------------------
@@ -429,7 +402,7 @@ def nl_constant(g: int, delta) -> Fraction:
     u = delta.u
     if 2 * u > g:
         raise ValueError(f"type {delta} too long for genus {g}")
-    return _chain_correction(delta) * deg_phi(g - u, delta).value
+    return _chain_correction(delta) * deg_phi(g - u, delta)
 
 
 def nl_composition(g: int, delta) -> Dict[str, object]:
@@ -445,5 +418,5 @@ def nl_composition(g: int, delta) -> Dict[str, object]:
     delta = PolarizationType(delta)
     u = delta.u
     constant = nl_constant(g, delta)  # rejects 2u > g
-    composed = deg_phi(u, delta).value * deg_phi(g - u, delta).value / deg_pi(u, delta).value
+    composed = Fraction(deg_phi(u, delta) * deg_phi(g - u, delta), deg_pi(u, delta))
     return {"constant": constant, "composed": composed, "match": constant == composed}

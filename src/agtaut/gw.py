@@ -21,32 +21,10 @@ compute intersection numbers on the moduli of curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .arith import abs_bernoulli, as_rational, sigma
-
-
-@dataclass(frozen=True)
-class GWPrediction:
-    g: int
-    d: int
-    i: int
-    insertion: str
-    value: Fraction
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "d": self.d,
-            "i": self.i,
-            "insertion": self.insertion,
-            "value": str(self.value),
-        }
 
 
 def gw_tau1_lambda(g: int, d: int) -> Fraction:

@@ -262,8 +262,9 @@ def _make_symbol(kind: str, args: Tuple[int, ...], g: int) -> Symbol:
 class NLExpression:
     """Q-linear combination of cycle symbols, with at most pairwise products.
 
-    Terms are (coefficient, symbols) with one or two symbols each.  Products
-    of three or more symbols are rejected: only pairwise vanishing of
+    Terms are (coefficient, symbols) with one or two symbols each, every
+    symbol kept in the form _make_symbol normalizes it to.  Products of
+    three or more symbols are rejected: only pairwise vanishing of
     NL-supported cycles is proved, and the API stays honest about it.
     """
 
@@ -281,8 +282,7 @@ class NLExpression:
                     f"terms must have one or two symbols, got {len(symbols)} "
                     f"(products of three or more symbols are rejected)"
                 )
-            for kind, args in symbols:
-                _make_symbol(kind, tuple(args), g)
+            symbols = tuple(_make_symbol(kind, tuple(args), g) for kind, args in symbols)
             clean.append((as_rational(coeff), symbols))
         self.terms = tuple(clean)
 
@@ -319,7 +319,7 @@ def parse_expression(g: int, text: str) -> NLExpression:
                 raise ValueError(f"cannot parse symbol {piece!r}")
             kind, argtext = match.groups()
             args = tuple(int(a) for a in argtext.split(",") if a.strip())
-            symbols.append(_make_symbol(kind, args, g))
+            symbols.append((kind, args))
         terms.append((coeff, tuple(symbols)))
     return NLExpression(g, terms)
 

@@ -186,6 +186,21 @@ def test_usage_errors():
     assert code == 1 and "out of scope" in err
 
 
+def test_empty_list_items_are_usage_errors():
+    for argv in (
+        ["taut-nl", "--g", "4", "--delta", "1,,2"],
+        ["taut-nl", "--g", "4", "--delta", "2,"],
+        ["taut-nl", "--g", "4", "--delta", ""],
+        ["ring-reduce", "--g", "3", "--indices", "1,,1"],
+        ["ring-reduce", "--g", "3", "--indices", ","],
+        ["deg-pi", "--g", "2", "--delta", ",2"],
+    ):
+        code, out, err = invoke(argv)
+        assert code == 1 and out == "" and err.startswith("usage error"), argv
+    # an empty index list is the empty monomial
+    assert invoke(["ring-reduce", "--g", "3", "--indices", ""]) == (0, "1\n", "")
+
+
 def test_output_is_deterministic():
     for argv in (
         ["taut-nl", "--g", "4", "--delta", "1,2", "--json"],

@@ -8,9 +8,6 @@ import pytest
 import displayed_forms
 from agtaut.cli import run
 from agtaut.degrees import (
-    DegreeResult,
-    ROUTE_CLOSED,
-    ROUTE_ENUMERATION,
     ScaledMatrixShape,
     deg_phi,
     deg_phi_crt,
@@ -81,9 +78,9 @@ def test_isotropic_tuple_count_values():
 
 
 def test_deg_phi_special_values():
-    assert int(deg_phi_special(1, 0, 1, 1)) == 1
-    assert int(deg_phi_special(1, 0, 1, 2)) == 6
-    assert int(deg_phi_special(2, 1, 1, 2)) == 30
+    assert deg_phi_special(1, 0, 1, 1) == 1
+    assert deg_phi_special(1, 0, 1, 2) == 6
+    assert deg_phi_special(2, 1, 1, 2) == 30
     with pytest.raises(ValueError):
         deg_phi_special(3, 1, 1, 2)  # k + h != g
     with pytest.raises(ValueError, match="k >= 0"):
@@ -91,12 +88,11 @@ def test_deg_phi_special_values():
 
 
 def test_deg_phi_values():
-    assert int(deg_phi(3, (1, 1, 1))) == 1
-    assert int(deg_phi(2, (1, 2))) == 30
-    assert int(deg_phi(2, (2, 2))) == 720
+    assert deg_phi(3, (1, 1, 1)) == 1
+    assert deg_phi(2, (1, 2)) == 30
+    assert deg_phi(2, (2, 2)) == 720
     # shorter chains are padded with leading 1 entries
-    assert deg_phi(3, (2,)).value == deg_phi(3, (1, 1, 2)).value
-    assert deg_phi(2, (2,)).route == ROUTE_CLOSED
+    assert deg_phi(3, (2,)) == deg_phi(3, (1, 1, 2))
 
 
 def test_deg_phi_special_equals_general():
@@ -104,7 +100,7 @@ def test_deg_phi_special_equals_general():
         for d in range(1, 13):
             for h in range(1, g + 1):
                 delta = (1,) * (g - h) + (d,) * h
-                assert deg_phi_special(g, g - h, h, d).value == deg_phi(g, delta).value
+                assert deg_phi_special(g, g - h, h, d) == deg_phi(g, delta)
 
 
 def test_closed_forms_match_displayed_forms():
@@ -114,22 +110,22 @@ def test_closed_forms_match_displayed_forms():
             chain = displayed_forms.random_chain(rng, rng.randint(1, g))
             padded = (1,) * (g - len(chain)) + chain
             phi = displayed_forms.deg_phi(g, padded)
-            assert deg_phi(g, chain).value == phi, (g, chain)
+            assert deg_phi(g, chain) == phi, (g, chain)
             pi = phi * displayed_forms.chain_correction(padded)
-            assert deg_pi(g, chain).value == pi, (g, chain)
+            assert deg_pi(g, chain) == pi, (g, chain)
         for h in range(1, g + 1):
             for d in range(1, 40):
                 expected = displayed_forms.deg_phi_special(g, h, d)
-                assert deg_phi_special(g, g - h, h, d).value == expected, (g, h, d)
+                assert deg_phi_special(g, g - h, h, d) == expected, (g, h, d)
 
 
 # -- stratified route --------------------------------------------------------------
 
 
 def test_deg_phi_stratified_values():
-    assert int(deg_phi_stratified(1, (2,), 2)) == 6
-    assert deg_phi_stratified(2, (1, 4), 2).value == deg_phi(2, (1, 4)).value == 960
-    assert int(deg_phi_stratified(2, (2, 2), 2)) == 720
+    assert deg_phi_stratified(1, (2,), 2) == 6
+    assert deg_phi_stratified(2, (1, 4), 2) == deg_phi(2, (1, 4)) == 960
+    assert deg_phi_stratified(2, (2, 2), 2) == 720
     with pytest.raises(ValueError, match="mixes primes"):
         deg_phi_stratified(2, (1, 6), 2)
     with pytest.raises(ValueError):
@@ -138,7 +134,7 @@ def test_deg_phi_stratified_values():
 
 def test_deg_phi_crt_matches_closed_form():
     for g, delta in ((1, (6,)), (2, (1, 6)), (2, (2, 6)), (3, (1, 2, 12)), (2, (15, 15))):
-        assert deg_phi_crt(g, delta).value == deg_phi(g, delta).value
+        assert deg_phi_crt(g, delta) == deg_phi(g, delta)
 
 
 def test_shape_bookkeeping():
@@ -173,7 +169,7 @@ def test_stratified_premise_on_every_shape():
                 for i in range(g - h + 1, g + 1):
                     reference *= 1 - Fraction(p) ** (-2 * i)
                 delta = tuple(p**v for v in exps)
-                assert deg_phi_stratified(g, delta, p).value == reference, (g, p, exps)
+                assert deg_phi_stratified(g, delta, p) == reference, (g, p, exps)
                 shapes += 1
     assert shapes == 1383
 
@@ -189,25 +185,18 @@ def test_shape_validation():
 
 
 def test_deg_pi_values():
-    assert int(deg_pi(4, (1, 1, 1, 1))) == 1
-    assert int(deg_pi(1, (3,))) == 24
-    assert int(deg_pi(2, (2, 2))) == 720
+    assert deg_pi(4, (1, 1, 1, 1)) == 1
+    assert deg_pi(1, (3,)) == 24
+    assert deg_pi(2, (2, 2)) == 720
     for p in (2, 3, 5, 7):
-        assert int(deg_pi(1, (p,))) == sp_order_prime(1, p)
-
-
-def test_deg_pi_integrality_over_small_chains():
-    for d1 in range(1, 7):
-        for d2 in range(d1, 25, d1):
-            result = deg_pi(2, (d1, d2))
-            assert result.value.denominator == 1 and result.value > 0
+        assert deg_pi(1, (p,)) == sp_order_prime(1, p)
 
 
 def test_deg_pi_is_kernel_symplectic_order():
     # the fiber is the set of symplectic bases of (Z/d1 x Z/d2)^2; for a
     # constant chain (d, d) that group is Sp_4(Z/d)
     for d in (2, 3, 4, 6):
-        assert int(deg_pi(2, (d, d))) == sp_order(2, d)
+        assert deg_pi(2, (d, d)) == sp_order(2, d)
 
 
 # -- enumeration oracle -----------------------------------------------------------
@@ -215,10 +204,7 @@ def test_deg_pi_is_kernel_symplectic_order():
 
 def test_oracle_index_values():
     for d, expected in ((2, 6), (3, 24), (4, 48)):
-        result = oracle_index(d)
-        assert int(result) == expected
-        assert result.route == ROUTE_ENUMERATION
-        assert int(result) == int(deg_phi(1, (d,)))
+        assert oracle_index(d) == expected == deg_phi(1, (d,))
 
 
 def test_oracle_index_cap():
@@ -232,7 +218,7 @@ def test_oracle_cap_env_override(monkeypatch):
     monkeypatch.setenv("AGTAUT_ORACLE_CAP", "3")
     with pytest.raises(ValueError):
         oracle_index(4)
-    assert int(oracle_index(3)) == 24
+    assert oracle_index(3) == 24
     # the hard limit cannot be exceeded from the environment
     monkeypatch.setenv("AGTAUT_ORACLE_CAP", "99")
     with pytest.raises(ValueError):
@@ -242,12 +228,18 @@ def test_oracle_cap_env_override(monkeypatch):
         oracle_index(3)
 
 
-def test_degree_result_validation():
-    with pytest.raises(ValueError):
-        DegreeResult(Fraction(1, 2), ROUTE_CLOSED)
-    with pytest.raises(ValueError):
-        DegreeResult(Fraction(-3), ROUTE_CLOSED)
-    assert str(DegreeResult(Fraction(6), ROUTE_CLOSED)) == "6"
+def test_every_degree_route_returns_a_positive_int():
+    # deg_pi multiplies deg_phi by a rational chain correction, so for
+    # deg_pi this is also an integrality check
+    chains = [(d1, d2) for d1 in range(1, 7) for d2 in range(d1, 25, d1)]
+    values = [deg_pi(2, chain) for chain in chains]
+    values += [deg_phi(g, chain) for g in (2, 3) for chain in chains]
+    values += [deg_phi_crt(g, chain) for g in (2, 3) for chain in chains]
+    values += [deg_phi_special(3, 3 - h, h, d) for h in (1, 2, 3) for d in range(1, 13)]
+    values += [deg_phi_stratified(3, (1, p, p * p), p) for p in (2, 3, 5)]
+    values += [oracle_index(d) for d in range(2, 9)]
+    for value in values:
+        assert type(value) is int and value > 0, value
 
 
 # -- composition diagnostic ---------------------------------------------------------
@@ -276,10 +268,10 @@ def test_nl_composition_gap_is_chain_correction_squared():
     chains += [(d1, d2) for d2 in range(1, 25) for d1 in range(1, d2 + 1) if d2 % d1 == 0]
     for chain in chains:
         u = len(chain)
-        c = deg_pi(u, chain).value / deg_phi(u, chain).value
+        c = Fraction(deg_pi(u, chain), deg_phi(u, chain))
         for g in range(2 * u, 11):
             report = nl_composition(g, chain)
             assert report["constant"] == report["composed"] * c * c, (g, chain)
             assert report["match"] is (c == 1), (g, chain)
     # at (1, 2) C = 1/5, the 5 coming from J_4(2) / J_2(2)
-    assert deg_pi(2, (1, 2)).value / deg_phi(2, (1, 2)).value == Fraction(1, 5)
+    assert Fraction(deg_pi(2, (1, 2)), deg_phi(2, (1, 2))) == Fraction(1, 5)

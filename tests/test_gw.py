@@ -3,12 +3,7 @@ from fractions import Fraction
 import pytest
 
 from agtaut.arith import sigma
-from agtaut.gw import (
-    GWPrediction,
-    conjecture_prediction,
-    gw_tau1_lambda,
-    triple_hodge_integral,
-)
+from agtaut.gw import conjecture_prediction, gw_tau1_lambda, triple_hodge_integral
 
 
 def test_gw_tau1_lambda_values():
@@ -47,15 +42,3 @@ def test_ratio_independent_of_degree():
         base = gw_tau1_lambda(g, 1)
         for d in range(1, 30):
             assert gw_tau1_lambda(g, d) / sigma(2 * g - 1, d) == base
-
-
-def test_prediction_record():
-    record = GWPrediction(2, 1, 1, "lambda_g*lambda_{g-2}", Fraction(1, 288))
-    data = record.to_json_dict()
-    assert data == {
-        "g": 2,
-        "d": 1,
-        "i": 1,
-        "insertion": "lambda_g*lambda_{g-2}",
-        "value": "1/288",
-    }

@@ -57,6 +57,15 @@ def test_polarization_type_refuses_inexact_entries():
         PolarizationType("12")
 
 
+def test_polarization_type_refuses_bool_entries():
+    # bool is an int subclass, but True is no polarization entry
+    for entries in ([True, 2], (1, False), True):
+        with pytest.raises(TypeError):
+            PolarizationType(entries)
+    with pytest.raises(TypeError):
+        deg_phi(2, (True,))
+
+
 def test_polarization_type_from_type_int_or_sequence():
     delta = PolarizationType((2, 4))
     assert PolarizationType(delta) == delta
@@ -358,6 +367,14 @@ def test_parse_expression_errors():
         parse_expression(2, "")
     with pytest.raises(ValueError):
         parse_expression(2, "NLt(2) +")
+
+
+def test_expression_stores_normalized_symbols():
+    # lambda indices are sorted and NL chains validated whichever way the
+    # expression is built
+    built = NLExpression(4, [(1, (("L", (2, 1)), ("NL", [1, 2])))])
+    assert built.terms == ((Fraction(1), (("L", (1, 2)), ("NL", (1, 2)))),)
+    assert parse_expression(4, "L(2,1) * NL(1,2)").terms == built.terms
 
 
 def test_expression_rejects_triple_products():
