@@ -29,10 +29,11 @@ RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 def as_rational(value) -> Fraction:
-    """A Fraction as is, an int as a Fraction; a float or any other type is a TypeError."""
+    """A Fraction as is, an int as a Fraction; a float, a bool or any other
+    type is a TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 

@@ -107,8 +107,9 @@ def taut_product_cycle(g: int, u: int) -> TautClass:
     """Projection of the product locus of u- and (g-u)-dimensional factors.
 
     Only u = 1 and u = 2 carry closed formulas; anything else is out of
-    scope and rejected.
+    scope and rejected.  g and u must be ints (a bool is a TypeError).
     """
+    g, u = as_int(g), as_int(u)
     if u < 1 or 2 * u > g:
         raise ValueError(f"product cycle requires 1 <= u <= g/2, got u={u}, g={g}")
     if u == 1:
@@ -194,8 +195,10 @@ def taut_nl_tilde(g: int, d: int) -> TautClass:
     independent routes, the divisor sum over the plain cycles of
     taut_nl_d_special and the closed form g sigma_{2g-1}(d) / (6 |B_2g|);
     their equality is asserted on every call.  The d = 0 class is the
-    convention ((-1)^g / 24) lambda_{g-1}.
+    convention ((-1)^g / 24) lambda_{g-1}.  g and d must be ints (a bool is
+    a TypeError).
     """
+    g, d = as_int(g), as_int(d)
     if g < 2 or d < 0:
         raise ValueError(f"requires g >= 2 and d >= 0, got ({g}, {d})")
     if d == 0:
@@ -230,32 +233,26 @@ def eisenstein_series(g: int, D: int) -> QSeries:
 
 Symbol = Tuple[str, tuple]
 
-_NL_KINDS = ("NL", "NLt", "P")
-
 _TOKEN_SYMBOL = re.compile(r"^(NL|NLt|P|L)\(([0-9,\s]*)\)$")
 
 
-def _make_symbol(kind: str, args: Tuple[int, ...], g: int) -> Symbol:
+def _symbol(g: int, kind: str, args) -> Tuple[Symbol, TautClass]:
+    """A symbol's normal form and its projection.  The function that owns
+    the kind makes every check: PolarizationType and taut_nl for NL,
+    taut_nl_tilde for NLt, taut_product_cycle for P and
+    LambdaPolynomial.monomial for L."""
+    args = tuple(args)
     if kind == "NL":
         delta = PolarizationType(args)
-        if 2 * delta.u > g:
-            raise ValueError(f"NL type {delta} too long for genus {g}")
-        return ("NL", delta.entries)
-    if kind == "NLt":
-        if len(args) != 1 or args[0] < 0:
-            raise ValueError(f"NLt takes a single degree >= 0, got {args}")
-        return ("NLt", args)
-    if kind == "P":
-        if len(args) != 1:
-            raise ValueError(f"P takes a single factor dimension, got {args}")
-        u = args[0]
-        if u < 1 or 2 * u > g:
-            raise ValueError(f"product cycle requires 1 <= u <= g/2, got u={u}")
-        return ("P", args)
+        return ("NL", delta.entries), taut_nl(g, delta)
     if kind == "L":
-        if any(not 1 <= i <= g for i in args):
-            raise ValueError(f"lambda indices {args} not within [1, {g}]")
-        return ("L", tuple(sorted(args)))
+        args = tuple(sorted(args))
+        return ("L", args), reduce(LambdaPolynomial.monomial(g, args))
+    if kind in ("NLt", "P"):
+        if len(args) != 1:
+            raise ValueError(f"{kind} takes a single argument, got {args}")
+        project = taut_nl_tilde if kind == "NLt" else taut_product_cycle
+        return (kind, args), project(g, args[0])
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
@@ -263,18 +260,23 @@ class NLExpression:
     """Q-linear combination of cycle symbols, with at most pairwise products.
 
     Terms are (coefficient, symbols) with one or two symbols each, every
-    symbol kept in the form _make_symbol normalizes it to.  Products of
-    three or more symbols are rejected: only pairwise vanishing of
-    NL-supported cycles is proved, and the API stays honest about it.
+    symbol in its normal form (an NL chain as a tuple, lambda indices
+    sorted).  Each symbol is projected once, here, and projections[i]
+    holds the classes of terms[i]'s symbols, so an invalid or out-of-scope
+    symbol is refused when the expression is built, even as a factor of a
+    product that projects to 0.  Products of three or more symbols are
+    rejected: only pairwise vanishing of NL-supported cycles is proved, and
+    the API stays honest about it.
     """
 
-    __slots__ = ("g", "terms")
+    __slots__ = ("g", "terms", "projections")
 
     def __init__(self, g: int, terms: Sequence[Tuple[Fraction, Tuple[Symbol, ...]]]):
         if g < 2:
             raise ValueError(f"genus must be >= 2, got {g}")
         self.g = g
         clean: List[Tuple[Fraction, Tuple[Symbol, ...]]] = []
+        projections: List[Tuple[TautClass, ...]] = []
         for coeff, symbols in terms:
             symbols = tuple(symbols)
             if not 1 <= len(symbols) <= 2:
@@ -282,9 +284,11 @@ class NLExpression:
                     f"terms must have one or two symbols, got {len(symbols)} "
                     f"(products of three or more symbols are rejected)"
                 )
-            symbols = tuple(_make_symbol(kind, tuple(args), g) for kind, args in symbols)
-            clean.append((as_rational(coeff), symbols))
+            normal, classes = zip(*(_symbol(g, kind, args) for kind, args in symbols))
+            clean.append((as_rational(coeff), normal))
+            projections.append(classes)
         self.terms = tuple(clean)
+        self.projections = tuple(projections)
 
     def __repr__(self) -> str:
         return f"NLExpression(g={self.g}, terms={list(self.terms)})"
@@ -295,7 +299,8 @@ def parse_expression(g: int, text: str) -> NLExpression:
 
     Terms are joined by '+'; each term is an optional rational coefficient
     'a/b *' followed by a symbol, with at most a single '*' between two
-    symbols.  Symbols: NL(d1,d2,...), NLt(d), P(u), L(i,j,...).
+    symbols.  Symbols: NL(d1,d2,...), NLt(d), P(u), L(i,j,...); L() is the
+    monomial 1, and an empty item in a nonempty argument list is an error.
     """
     terms = []
     for chunk in text.split("+"):
@@ -318,39 +323,27 @@ def parse_expression(g: int, text: str) -> NLExpression:
             if not match:
                 raise ValueError(f"cannot parse symbol {piece!r}")
             kind, argtext = match.groups()
-            args = tuple(int(a) for a in argtext.split(",") if a.strip())
+            try:
+                args = tuple(map(int, argtext.split(","))) if argtext.strip() else ()
+            except ValueError as exc:
+                raise ValueError(f"malformed argument list in symbol {piece!r}: {exc}") from exc
             symbols.append((kind, args))
         terms.append((coeff, tuple(symbols)))
     return NLExpression(g, terms)
 
 
-def _project_symbol(g: int, symbol: Symbol) -> TautClass:
-    kind, args = symbol
-    if kind == "NL":
-        return taut_nl(g, PolarizationType(args))
-    if kind == "NLt":
-        return taut_nl_tilde(g, args[0])
-    if kind == "P":
-        return taut_product_cycle(g, args[0])
-    if kind == "L":
-        return reduce(LambdaPolynomial.monomial(g, args))
-    raise ValueError(f"unknown symbol kind {kind!r}")
-
-
 def taut_projection(expression: NLExpression) -> TautClass:
-    """Linear extension of the projection over an expression.
+    """Linear extension of the projection over an expression, combining the
+    symbol projections made when the expression was built.
 
-    A product of two NL-supported symbols projects to 0; a lambda monomial
-    multiplies through the projection of its partner in the ring.
+    A single symbol gives its class; a product of two NL-supported symbols
+    projects to 0; a lambda monomial multiplies through the projection of
+    its partner in the ring.
     """
-    g = expression.g
-    result = TautClass.zero(g)
-    for coeff, symbols in expression.terms:
-        if len(symbols) == 1:
-            value = _project_symbol(g, symbols[0])
-        elif all(kind in _NL_KINDS for kind, _ in symbols):
-            value = TautClass.zero(g)
-        else:
-            value = multiply(*(_project_symbol(g, symbol) for symbol in symbols))
-        result = result + coeff * value
+    result = TautClass.zero(expression.g)
+    for (coeff, symbols), classes in zip(expression.terms, expression.projections):
+        if len(classes) == 1:
+            result = result + coeff * classes[0]
+        elif any(kind == "L" for kind, _ in symbols):
+            result = result + coeff * multiply(*classes)
     return result

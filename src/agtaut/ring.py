@@ -170,8 +170,9 @@ class LambdaPolynomial(_SparseTerms):
 
     @classmethod
     def monomial(cls, g: int, indices: Iterable[int], coeff=1) -> "LambdaPolynomial":
-        """Product of lambda_i over an index multiset (repeats allowed)."""
-        indices = tuple(indices)
+        """Product of lambda_i over an index multiset (repeats allowed); an
+        index that is not an int (a bool, a float) is a TypeError."""
+        indices = tuple(map(as_int, indices))
         for i in indices:
             if not 1 <= i <= g:
                 raise ValueError(f"lambda_{i} does not exist in genus {g}")
@@ -298,7 +299,9 @@ class TautClass(_SparseTerms):
     __slots__ = ()
 
     def _check_key(self, indices: IndexTuple) -> None:
-        if any(not 1 <= i <= self.g - 1 for i in indices):
+        if any(type(i) is not int or not 1 <= i <= self.g - 1 for i in indices):
+            for i in indices:
+                as_int(i)  # a bool or a float index is a TypeError
             raise ValueError(f"indices {indices} not within [1, {self.g - 1}]")
         if any(a >= b for a, b in zip(indices, indices[1:])):
             raise ValueError(f"indices {indices} not strictly increasing")

@@ -25,7 +25,7 @@ from agtaut.nl import (
     taut_projection,
     tilde_to_plain,
 )
-from agtaut.ring import TautClass, multiply
+from agtaut.ring import LambdaPolynomial, TautClass, multiply
 
 
 def taut(g, indices, coeff=1):
@@ -282,6 +282,8 @@ def test_qseries_interface():
         QSeries([])
     with pytest.raises(TypeError):
         QSeries([1, 0.1])
+    with pytest.raises(TypeError):
+        QSeries([1, True])
 
 
 @pytest.mark.parametrize(
@@ -367,6 +369,14 @@ def test_parse_expression_errors():
         parse_expression(2, "")
     with pytest.raises(ValueError):
         parse_expression(2, "NLt(2) +")
+    for text in ("L(1,,2)", "NL(,2)", "L(1,)", "NLt(,)"):  # an empty argument item
+        with pytest.raises(ValueError, match="malformed argument list"):
+            parse_expression(4, text)
+    for kind, args in (("NLt", (True,)), ("P", (True,)), ("NL", (True,)), ("L", (1.0,))):
+        with pytest.raises(TypeError):
+            NLExpression(4, [(1, ((kind, args),))])
+    with pytest.raises(TypeError):
+        NLExpression(4, [(True, (("L", (1,)),))])  # a bool coefficient
 
 
 def test_expression_stores_normalized_symbols():
@@ -401,11 +411,28 @@ def test_taut_projection_more_cases():
     assert taut_projection(parse_expression(3, "L(1) * L(2)")) == taut(3, (1, 2))
     assert taut_projection(parse_expression(3, "L(1,1)")) == taut(3, (2,), 2)
     assert taut_projection(parse_expression(4, "P(2)")) == taut_product_cycle(4, 2)
+    assert taut_projection(parse_expression(4, "L()")) == TautClass.one(4)
     # lambda monomial times a u=2 cycle lands in the ring product
     lhs = taut_projection(parse_expression(4, "L(2) * NL(1,2)"))
     assert lhs == multiply(taut(4, (2,)), taut_nl(4, (1, 2)))
     with pytest.raises(ValueError, match="out of scope"):
         taut_projection(parse_expression(6, "NL(1,1,1)"))
+
+
+def test_out_of_scope_symbol_is_refused_inside_an_nl_product():
+    # the product would project to 0, but its factors are still projected
+    for text in ("NL(1,1,1) * NLt(1)", "NLt(1) * NL(1,1,1)", "P(3) * NL(2)"):
+        with pytest.raises(ValueError, match="out of scope"):
+            parse_expression(6, text)
+
+
+def test_library_entry_points_reject_bool_arguments():
+    with pytest.raises(TypeError):
+        taut_product_cycle(4, True)
+    with pytest.raises(TypeError):
+        taut_nl_tilde(4, True)
+    with pytest.raises(TypeError):
+        LambdaPolynomial.monomial(4, (True,))
 
 
 def test_taut_projection_product_is_symmetric():

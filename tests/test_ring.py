@@ -155,6 +155,8 @@ def test_ring_rejects_float_coefficients():
         LambdaPolynomial(3, {(1, 0, 0): 0.1})
     with pytest.raises(TypeError):
         0.5 * taut(3, (1,))
+    with pytest.raises(TypeError):
+        TautClass.monomial(3, (1,), True)
 
 
 def test_tautclass_validation():
@@ -162,6 +164,9 @@ def test_tautclass_validation():
         TautClass(3, {(3,): Fraction(1)})  # index g is not a basis index
     with pytest.raises(ValueError):
         TautClass(3, {(2, 1): Fraction(1)})  # not strictly increasing
+    for index in (True, 1.0):
+        with pytest.raises(TypeError):
+            TautClass.monomial(4, (index,))
 
 
 # -- graded dimensions and the pairing ----------------------------------------
