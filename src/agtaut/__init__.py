@@ -18,8 +18,11 @@ from .arith import (
     factorize,
     is_prime,
     jacobi_totient,
+    jacobi_totient_table,
     mobius,
+    mobius_table,
     sigma,
+    sigma_table,
 )
 from .degrees import (
     PolarizationType,

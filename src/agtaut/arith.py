@@ -2,10 +2,12 @@
 
 Everything downstream consumes these scalars: Bernoulli numbers, divisor
 power sums, Jacobi totients, the Moebius function and Dirichlet
-convolution.  Integral quantities are Python ``int``s (sigma_k for k >= 0,
-Jacobi totients, Moebius values); genuinely rational ones (Bernoulli
-numbers, sigma_k for k < 0) are ``fractions.Fraction``s.  No floating point
-is used anywhere in the package.
+convolution.  The multiplicative functions come one value at a time
+(cached) or as a table over a whole range 1..N.  Integral quantities are
+Python ``int``s (sigma_k for k >= 0, Jacobi totients, Moebius values);
+genuinely rational ones (Bernoulli numbers, sigma_k for k < 0) are
+``fractions.Fraction``s.  No floating point is used anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, prod
 from typing import Callable, List, Tuple
 
 # The universal scalar type.  Fractions are always stored in lowest terms
@@ -184,6 +187,31 @@ def abs_bernoulli(n: int) -> Fraction:
     return abs(bernoulli(n))
 
 
+# -- multiplicative functions: one prime-power formula each -----------------
+#
+# A multiplicative f is fixed by its values f(p^e).  The scalar functions
+# multiply them over the cached factorization of one n; the *_table
+# functions fill all of 1..N from one smallest-prime sieve, for callers that
+# sweep a whole range.
+
+
+def _sigma_prime_power(k: int, p: int, e: int) -> int:
+    """sigma_k(p^e) = (p^(k(e+1)) - 1) / (p^k - 1) for k >= 0 (e + 1 at k = 0)."""
+    if k == 0:
+        return e + 1
+    pk = p**k
+    return (pk ** (e + 1) - 1) // (pk - 1)
+
+
+def _jacobi_totient_prime_power(k: int, p: int, e: int) -> int:
+    """J_k(p^e) = p^(k(e-1)) (p^k - 1) for k >= 1."""
+    return p ** (k * (e - 1)) * (p**k - 1)
+
+
+def _mobius_prime_power(p: int, e: int) -> int:
+    return -1 if e == 1 else 0
+
+
 @lru_cache(maxsize=None)
 def sigma(k: int, n: int) -> int | Fraction:
     """Divisor power sum sigma_k(n) = sum_{m | n} m^k, exact for any integer k.
@@ -196,14 +224,7 @@ def sigma(k: int, n: int) -> int | Fraction:
         raise ValueError(f"sigma requires n >= 1, got {n}")
     if k < 0:
         return Fraction(sigma(-k, n), n ** -k)
-    value = 1
-    for p, e in factorize(n).factors:
-        if k == 0:
-            value *= e + 1
-        else:
-            pk = p**k
-            value *= (pk ** (e + 1) - 1) // (pk - 1)
-    return value
+    return prod(_sigma_prime_power(k, p, e) for p, e in factorize(n).factors)
 
 
 @lru_cache(maxsize=None)
@@ -214,20 +235,70 @@ def jacobi_totient(k: int, n: int) -> int:
     """
     if n < 1 or k < 1:
         raise ValueError(f"jacobi_totient requires n >= 1 and k >= 1, got ({k}, {n})")
-    value = 1
-    for p, e in factorize(n).factors:
-        value *= p ** (k * (e - 1)) * (p**k - 1)
-    return value
+    return prod(_jacobi_totient_prime_power(k, p, e) for p, e in factorize(n).factors)
 
 
 def mobius(n: int) -> int:
     """Moebius function: 0 on non-square-free n, else (-1)^(number of primes)."""
     if n < 1:
         raise ValueError(f"mobius requires n >= 1, got {n}")
-    factors = factorize(n).factors
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
+    return prod(_mobius_prime_power(p, e) for p, e in factorize(n).factors)
+
+
+@lru_cache(maxsize=1)
+def _prime_power_sieve(N: int) -> Tuple[List[int], List[int], List[int]]:
+    """(prime, exponent, cofactor) over 0..N: for n >= 2, p = prime[n] is
+    the smallest prime dividing n, p^e || n with e = exponent[n], and
+    cofactor[n] = n / p^e.  Only the last sieve is kept."""
+    prime = list(range(N + 1))
+    # Largest p first, so prime[n] ends as the smallest divisor p > 1 of n
+    # with p^2 <= n, which is prime; a prime n has none and keeps n.
+    for p in range(isqrt(N), 1, -1):
+        prime[p * p :: p] = [p] * len(range(p * p, N + 1, p))
+    exponent = [0] * (N + 1)
+    cofactor = [0, 1] + [0] * (N - 1)
+    for n in range(2, N + 1):
+        p = prime[n]
+        m = n // p
+        if prime[m] == p:
+            exponent[n], cofactor[n] = exponent[m] + 1, cofactor[m]
+        else:
+            exponent[n], cofactor[n] = 1, m
+    return prime, exponent, cofactor
+
+
+def _multiplicative_table(prime_power: Callable[[int, int], int], N: int) -> List[int]:
+    """[f(n) for n = 1..N] for the multiplicative f with f(p^e) =
+    prime_power(p, e): f(n) = f(p^e) f(n / p^e) over the sieve, so
+    prime_power runs once per prime power and every other n is one product."""
+    N = as_int(N)
+    if N < 1:
+        raise ValueError(f"a table over 1..N requires N >= 1, got {N}")
+    prime, exponent, cofactor = _prime_power_sieve(N)
+    values = [0, 1] + [0] * (N - 1)
+    for n in range(2, N + 1):
+        m = cofactor[n]
+        values[n] = values[n // m] * values[m] if m > 1 else prime_power(prime[n], exponent[n])
+    return values[1:]
+
+
+def sigma_table(k: int, N: int) -> List[int]:
+    """[sigma_k(n) for n = 1..N] for k >= 0, all int."""
+    if as_int(k) < 0:
+        raise ValueError(f"sigma_table requires k >= 0, got {k}")
+    return _multiplicative_table(lambda p, e: _sigma_prime_power(k, p, e), N)
+
+
+def jacobi_totient_table(k: int, N: int) -> List[int]:
+    """[J_k(n) for n = 1..N] for k >= 1, all int."""
+    if as_int(k) < 1:
+        raise ValueError(f"jacobi_totient_table requires k >= 1, got {k}")
+    return _multiplicative_table(lambda p, e: _jacobi_totient_prime_power(k, p, e), N)
+
+
+def mobius_table(N: int) -> List[int]:
+    """[mu(n) for n = 1..N]."""
+    return _multiplicative_table(_mobius_prime_power, N)
 
 
 def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction, N: int) -> List[int | Fraction]:

@@ -23,13 +23,19 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, row by row: row i is the sum of x * b[k] over the
+    nonzero entries x = a[i][k], so zero entries of a cost nothing."""
     inner, cols = len(b), len(b[0]) if b else 0
     if any(len(r) != inner for r in a) or any(len(r) != cols for r in b):
         raise ValueError("matrix shapes do not match")
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(len(a))
-    ]
+    product = []
+    for row in a:
+        total = [0] * cols
+        for x, b_row in zip(row, b):
+            if x:
+                total = [t + x * y for t, y in zip(total, b_row)]
+        product.append(total)
+    return product
 
 
 def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:

@@ -41,9 +41,10 @@ from .arith import (
     dirichlet_convolve,
     divisors,
     jacobi_totient,
-    mobius,
+    mobius_table,
     parse_rational,
     sigma,
+    sigma_table,
 )
 from .degrees import PolarizationType, nl_constant
 from .ring import LambdaPolynomial, TautClass, multiply, reduce
@@ -133,8 +134,10 @@ def taut_nl_d_special(g: int, d: int) -> TautClass:
     """The displayed u = 1 projection, computed without nl_constant:
 
     (g d^(2g-1) / (6 |B_2g|)) prod_{p | d} (1 - p^(2-2g)) lambda_{g-1}
-    = (g d J_{2g-2}(d) / (6 |B_2g|)) lambda_{g-1}.
+    = (g d J_{2g-2}(d) / (6 |B_2g|)) lambda_{g-1}.  g and d must be ints
+    (a bool is a TypeError).
     """
+    g, d = as_int(g), as_int(d)
     if g < 2 or d < 1:
         raise ValueError(f"requires g >= 2 and d >= 1, got ({g}, {d})")
     coeff = Fraction(g * d * jacobi_totient(2 * g - 2, d)) / (6 * abs_bernoulli(2 * g))
@@ -179,13 +182,14 @@ def tilde_to_plain(D: int) -> List[List[int]]:
     kernel sigma_1.  Unit diagonal, lower triangular, int entries."""
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    return _divisor_matrix([sigma(1, n) for n in range(1, D + 1)])
+    return _divisor_matrix(sigma_table(1, D))
 
 
 def plain_to_tilde(D: int) -> List[List[int]]:
     """Inverse of tilde_to_plain: kernel mu * (n mu(n)), the Dirichlet
     inverse of sigma_1 = 1 * id.  Int entries."""
-    return _divisor_matrix(dirichlet_convolve(mobius, lambda n: n * mobius(n), D))
+    mu = mobius_table(D)
+    return _divisor_matrix(dirichlet_convolve(lambda n: mu[n - 1], lambda n: n * mu[n - 1], D))
 
 
 def taut_nl_tilde(g: int, d: int) -> TautClass:
@@ -223,10 +227,12 @@ def eisenstein_series(g: int, D: int) -> QSeries:
     exactly 24 (-1)^g times the lambda_{g-1} coefficient of the projected
     degree-d tilde cycle.
     """
+    g, D = as_int(g), as_int(D)
     if g < 2 or D < 0:
         raise ValueError(f"requires g >= 2 and D >= 0, got ({g}, {D})")
     lead = Fraction(-4 * g) / bernoulli(2 * g)
-    return QSeries([1] + [lead * sigma(2 * g - 1, d) for d in range(1, D + 1)])
+    coeffs = [lead * s for s in sigma_table(2 * g - 1, D)] if D else []
+    return QSeries([1] + coeffs)
 
 
 # -- formal expressions and the projection calculus ------------------------

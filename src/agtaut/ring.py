@@ -89,6 +89,7 @@ class _SparseTerms:
     __slots__ = ("g", "terms")
 
     def __init__(self, g: int, terms: dict):
+        g = as_int(g)
         if g < 1:
             raise ValueError(f"genus must be >= 1, got {g}")
         self.g = g
@@ -150,7 +151,9 @@ class LambdaPolynomial(_SparseTerms):
     def _check_key(self, exps: ExponentVector) -> None:
         if len(exps) != self.g:
             raise ValueError(f"exponent vector {exps} has length != g = {self.g}")
-        if any(e < 0 for e in exps):
+        if any(type(e) is not int or e < 0 for e in exps):
+            for e in exps:
+                as_int(e)  # a bool or a float exponent is a TypeError
             raise ValueError(f"negative exponent in {exps}")
 
     # -- constructors ---------------------------------------------------

@@ -14,9 +14,12 @@ from agtaut.arith import (
     factorize,
     is_prime,
     jacobi_totient,
+    jacobi_totient_table,
     mobius,
+    mobius_table,
     parse_rational,
     sigma,
+    sigma_table,
 )
 
 
@@ -31,8 +34,34 @@ def bernoulli_by_recurrence(limit):
     return values
 
 
-def sigma_by_divisor_sum(k, n):
-    return sum((Fraction(d) ** k for d in divisors(n)), Fraction(0))
+# Whole-range references by a sieve over the multiples of each d: neither
+# factorize nor the sieve behind the *_table functions is used.
+
+
+def sigma_over_multiples(k, N):
+    """[sigma_k(n) for n = 1..N]: d^k is added to every multiple of d."""
+    table = [0] * (N + 1)
+    for d in range(1, N + 1):
+        dk = d**k if k >= 0 else Fraction(1, d**-k)
+        table[d::d] = [total + dk for total in table[d::d]]
+    return table[1:]
+
+
+def jacobi_totient_over_multiples(k, N):
+    """[J_k(n) for n = 1..N] from sum_{d | n} J_k(d) = n^k: once J_k(d) is
+    final it is taken off every proper multiple of d."""
+    table = [n**k for n in range(N + 1)]
+    for d in range(1, N + 1):
+        table[2 * d :: d] = [total - table[d] for total in table[2 * d :: d]]
+    return table[1:]
+
+
+def mobius_over_multiples(N):
+    """[mu(n) for n = 1..N] from sum_{d | n} mu(d) = [n = 1], the same way."""
+    table = [0, 1] + [0] * (N - 1)
+    for d in range(1, N + 1):
+        table[2 * d :: d] = [total - table[d] for total in table[2 * d :: d]]
+    return table[1:]
 
 
 def dirichlet_convolve_by_divisors(f, g, n):
@@ -95,11 +124,55 @@ def test_sigma_values():
 
 def test_sigma_matches_divisor_sum():
     for k in range(-2, 20):
-        for n in range(1, 2001):
+        for n, expected in enumerate(sigma_over_multiples(k, 2000), 1):
             value = sigma(k, n)
-            assert value == sigma_by_divisor_sum(k, n), (k, n)
+            assert value == expected, (k, n)
             if k >= 0:
                 assert type(value) is int, (k, n)
+
+
+def test_tables_match_sieve_over_multiples():
+    # The range the eisenstein-identity suite read from the scalar functions:
+    # sigma_1, sigma_{2g-1} and J_{2g-2} for g <= 10 and n <= 10^4; plus the
+    # smallest k each table takes, and mu.
+    N = 10**4
+    cases = [(sigma_table, sigma_over_multiples, k) for k in (0, 1, *range(3, 20, 2))]
+    cases += [(jacobi_totient_table, jacobi_totient_over_multiples, k) for k in (1, *range(2, 19, 2))]
+    for table, reference, k in cases:
+        values = table(k, N)
+        assert values == reference(k, N), (table.__name__, k)
+        assert all(type(v) is int for v in values), (table.__name__, k)
+    assert mobius_table(N) == mobius_over_multiples(N)
+
+
+def test_tables_edges():
+    assert sigma_table(0, 1) == sigma_table(5, 1) == jacobi_totient_table(3, 1) == mobius_table(1) == [1]
+    for N in (0, -4):
+        for call in (lambda: sigma_table(1, N), lambda: jacobi_totient_table(2, N), lambda: mobius_table(N)):
+            with pytest.raises(ValueError):
+                call()
+    with pytest.raises(ValueError):
+        sigma_table(-1, 10)
+    with pytest.raises(ValueError):
+        jacobi_totient_table(0, 10)
+    for call in (
+        lambda: sigma_table(1, True),
+        lambda: sigma_table(True, 10),
+        lambda: jacobi_totient_table(2, True),
+        lambda: jacobi_totient_table(True, 10),
+        lambda: mobius_table(True),
+        lambda: sigma_table(1, 10.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_tables_are_fresh_lists():
+    # Callers may edit a table; the next call must not see the edit.
+    table = sigma_table(1, 12)
+    table[5] = 0
+    assert sigma_table(1, 12)[5] == 12
+    assert sigma_table(1, 6) == [1, 3, 4, 7, 6, 12]
 
 
 def test_jacobi_totient_values():

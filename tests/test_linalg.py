@@ -55,6 +55,34 @@ def test_mat_mul_rejects_mismatched_shapes():
     assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
 
 
+def mat_mul_by_triple_sum(a, b):
+    """The definition: entry (i, j) is sum_k a[i][k] b[k][j]."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_mat_mul_matches_triple_sum():
+    rng = random.Random(1729)
+
+    def entry(kind):
+        x = rng.choice((0, 0, 0, 0, 0, 1, -1, 2, -3, 7))
+        if kind == "mixed" and rng.random() < 0.5:
+            return Fraction(x, rng.choice((1, 2, 3, 5)))
+        return x
+
+    for kind in ("int", "mixed"):
+        for rows, inner, cols in ((1, 1, 1), (1, 6, 1), (6, 1, 6), (3, 7, 5), (8, 4, 9), (12, 12, 12)):
+            for _ in range(10):
+                a = [[entry(kind) for _ in range(inner)] for _ in range(rows)]
+                b = [[entry(kind) for _ in range(cols)] for _ in range(inner)]
+                product = mat_mul(a, b)
+                assert product == mat_mul_by_triple_sum(a, b), (a, b)
+                assert exact_entries(product)
+                if kind == "int":
+                    assert all(type(x) is int for row in product for x in row)
+    assert mat_mul([[0, 0], [0, 0]], [[1, 2], [3, 4]]) == [[0, 0], [0, 0]]
+    assert mat_mul([], [[1, 2]]) == []
+
+
 def exact_entries(matrix):
     return all(isinstance(x, (int, Fraction)) for row in matrix for x in row)
 

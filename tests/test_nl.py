@@ -263,6 +263,25 @@ def test_eisenstein_values():
     assert eisenstein_series(7, 1).coefficient(1) == -24
 
 
+def test_eisenstein_order_zero_is_the_series_one():
+    for g in range(2, 17):
+        assert eisenstein_series(g, 0) == QSeries([1])
+
+
+def test_eisenstein_series_rejects_non_int_arguments():
+    # eisenstein_series(2, True) used to return the order-1 series 1 + 240 q.
+    for g, D in ((2, True), (True, 3), (2, 1.0), (2.0, 1)):
+        with pytest.raises(TypeError):
+            eisenstein_series(g, D)
+
+
+def test_taut_nl_d_special_rejects_non_int_arguments():
+    # taut_nl_d_special(2, True) used to return the d = 1 class 10 * L(1).
+    for g, d in ((2, True), (True, 1), (3, 2.0)):
+        with pytest.raises(TypeError):
+            taut_nl_d_special(g, d)
+
+
 def test_eisenstein_matches_tilde_projection():
     for g in (2, 3, 5):
         series = eisenstein_series(g, 12)

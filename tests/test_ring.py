@@ -169,6 +169,33 @@ def test_tautclass_validation():
             TautClass.monomial(4, (index,))
 
 
+def test_ring_classes_reject_a_non_int_genus():
+    # TautClass(True, {(): 1}) used to build a class of genus True.
+    for g in (True, 3.0):
+        with pytest.raises(TypeError):
+            TautClass(g, {(): 1})
+        with pytest.raises(TypeError):
+            LambdaPolynomial(g, {})
+
+
+def test_lambda_polynomial_rejects_a_bool_exponent():
+    # LambdaPolynomial(3, {(True, 0, 0): 1}) used to be accepted.
+    with pytest.raises(TypeError):
+        LambdaPolynomial(3, {(True, 0, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        LambdaPolynomial(3, {(-1, 0, 0): 1})
+
+
+def test_lambda_polynomial_rejects_a_float_exponent():
+    # reduce of a (1.0, 0, 0) key used to return 1 * L(1) after caching a
+    # float key in _reduce_monomial.
+    cached = _reduce_monomial.cache_info().currsize
+    with pytest.raises(TypeError):
+        reduce(LambdaPolynomial(3, {(1.0, 0, 0): 1}))
+    assert _reduce_monomial.cache_info().currsize == cached
+    assert reduce(LambdaPolynomial(3, {(1, 0, 0): 1})) == taut(3, (1,))
+
+
 # -- graded dimensions and the pairing ----------------------------------------
 
 
