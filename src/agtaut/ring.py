@@ -18,6 +18,11 @@ Two independent implementations of the normal form live here:
   A rewrite raises q = sum of squared indices by 2m^2, and q is bounded
   at fixed weight, so one forward sweep in increasing q expands every
   reachable monomial once, after all of its parents, and terminates.
+  The sweep runs on packed monomials: one int holds every exponent in a
+  digit of fixed width, a rewrite adds a constant to it, and bit masks
+  find the largest square.  Pairing matrices read socle values from one
+  table per genus, filled by the same rewrites, so a state that many
+  entries reach is valued once.
 
 * ``oracle_reduce``: localization and duality.  A socle integral is an
   Atiyah-Bott sum over the torus-fixed points of LG_{g-1} (see below and
@@ -254,44 +259,81 @@ def relation(k: int, g: int) -> LambdaPolynomial:
     return LambdaPolynomial(g, terms)
 
 
+def _width(factors: int) -> int:
+    """Bits per exponent digit of a packed monomial with this many factors.
+
+    A rewrite never raises the number of factors, so no exponent exceeds
+    it; at least 2 bits, so an exponent of 2 shows outside the lowest bit.
+    """
+    return max(2, factors.bit_length())
+
+
+def _pack(w: int, exps: Iterable[int]) -> int:
+    """Monomial as one int: the exponent of lambda_i in digit i-1, w bits each."""
+    return sum(e << (w * i) for i, e in enumerate(exps))
+
+
+@lru_cache(maxsize=None)
+def _rewrite_table(g: int, w: int):
+    """Rewrites of packed monomials in genus g, digit width w, and the mask
+    of every digit bit but the lowest.
+
+    Entry k-1 lists (delta, 2m^2, +-2) per m: adding delta to a monomial
+    with lambda_k^2 replaces that square by lambda_{k-m} lambda_{k+m},
+    which raises q by 2m^2, with coefficient +-2.  A monomial is
+    square-free when it has no bit under the mask, and otherwise its
+    largest squared index is that of the highest digit there.
+    """
+
+    def unit(i: int) -> int:
+        return 1 << w * (i - 1)  # lambda_i, packed
+
+    rules = tuple(
+        tuple(
+            (unit(k + m) - 2 * unit(k) + (unit(k - m) if k > m else 0), 2 * m * m, 2 if m % 2 else -2)
+            for m in range(1, min(k, g - 1 - k) + 1)
+        )
+        for k in range(1, g)
+    )
+    high = _pack(w, [(1 << w) - 2] * (g - 1))
+    return rules, high
+
+
 @lru_cache(maxsize=None)
 def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, int], ...]:
     """Normal form of a single monomial, as ((indices, int coeff), ...).
 
-    Deletes lambda_g, then sweeps forward in q = sum of i^2 e_i.  Pending
-    monomials wait in buckets keyed by q, and the buckets are popped in
-    increasing q, in steps of 2.  A popped monomial with a squared factor
-    is rewritten largest square index first; rewriting lambda_k^2 to
-    lambda_{k-m} lambda_{k+m} raises q by 2m^2, so every parent of a
-    monomial is popped before it.  Each monomial is thus expanded once,
-    with its coefficient final, and only the input is cached.  The sweep
-    ends because q is bounded at fixed weight; the square-free survivors
-    are the normal form.
+    Deletes lambda_g, packs the rest into one int (see _rewrite_table),
+    then sweeps forward in q = sum of i^2 e_i.  Pending monomials wait in
+    buckets keyed by q, and the buckets are popped in increasing q, in
+    steps of 2.  A popped monomial with a squared factor is rewritten
+    largest square index first, each rewrite one int addition; rewriting
+    lambda_k^2 to lambda_{k-m} lambda_{k+m} raises q by 2m^2, so every
+    parent of a monomial is popped before it.  Each monomial is thus
+    expanded once, with its coefficient final, and only the input is
+    cached.  The sweep ends because q is bounded at fixed weight; the
+    square-free survivors are the normal form.
     """
     if exps[g - 1] > 0:
         return ()
+    w = _width(sum(exps))
+    rules, high = _rewrite_table(g, w)
     q = sum((i + 1) ** 2 * e for i, e in enumerate(exps))
-    pending = {q: {exps: 1}}
+    pending = {q: {_pack(w, exps): 1}}
     survivors = []
     while pending:
         for mono, coeff in pending.pop(q, {}).items():
             if not coeff:
                 continue
-            k = g - 1
-            while k and mono[k - 1] < 2:
-                k -= 1
-            if not k:
-                survivors.append((tuple(i + 1 for i, e in enumerate(mono) if e), coeff))
+            squares = mono & high
+            if not squares:
+                indices = tuple(i + 1 for i in range(g - 1) if mono >> (w * i) & 1)
+                survivors.append((indices, coeff))
                 continue
-            for m in range(1, min(k, g - 1 - k) + 1):
-                child = list(mono)
-                child[k - 1] -= 2
-                child[k + m - 1] += 1
-                if k > m:
-                    child[k - m - 1] += 1
-                child = tuple(child)
-                bucket = pending.setdefault(q + 2 * m * m, {})
-                bucket[child] = bucket.get(child, 0) + (2 if m % 2 else -2) * coeff
+            for delta, dq, sign in rules[(squares.bit_length() - 1) // w]:
+                bucket = pending.setdefault(q + dq, {})
+                child = mono + delta
+                bucket[child] = bucket.get(child, 0) + sign * coeff
         q += 2
     return tuple(sorted(survivors))
 
@@ -522,20 +564,73 @@ class PairingMatrix:
         }
 
 
+@lru_cache(maxsize=None)
+def _socle_table(g: int) -> dict:
+    """Socle values of top-weight monomials in genus g, packed with digits
+    of _width(2g - 2) bits, enough for any lambda_S lambda_T.
+
+    Filled by _pairing_values and shared by every degree of the genus;
+    cache_clear() drops it.
+    """
+    return {}
+
+
+def _pairing_values(g: int, rows, cols) -> List[List[int]]:
+    """Socle values of lambda_S lambda_T, S in rows, T in cols, read from
+    _socle_table(g).
+
+    The monomials not valued yet are valued in two passes.  The first, in
+    increasing q, collects them and the rewrites they reach, stopping at
+    valued ones.  The second, in decreasing q, values each after its
+    rewrites: a square-free monomial, which at top weight is the socle
+    monomial, gets 1; any other gets the sum of sign * value(mono + delta)
+    over the rewrites of its largest square, so lambda_{g-1}^2, which has
+    none, gets 0.
+    """
+    table = _socle_table(g)
+    w = _width(2 * g - 2)
+    rules, high = _rewrite_table(g, w)
+
+    def packed(sets):
+        return [(_pack(w, _exponents(g - 1, s)), sum(i * i for i in s)) for s in sets]
+
+    rows, cols = packed(rows), packed(cols)
+    pending: dict = {}
+    for r, qr in rows:
+        for c, qc in cols:
+            if r + c not in table:
+                pending.setdefault(qr + qc, set()).add(r + c)
+    order = []
+    q = min(pending, default=0)
+    while pending:
+        for mono in pending.pop(q, ()):
+            squares = mono & high
+            moves = rules[(squares.bit_length() - 1) // w] if squares else None
+            order.append((mono, moves))
+            for delta, dq, _ in moves or ():
+                if mono + delta not in table:
+                    pending.setdefault(q + dq, set()).add(mono + delta)
+        q += 2
+    for mono, moves in reversed(order):
+        if moves is None:
+            table[mono] = 1
+        else:
+            table[mono] = sum(sign * table[mono + delta] for delta, _, sign in moves)
+    return [[table[r + c] for c, _ in cols] for r, _ in rows]
+
+
 def pairing_matrix(g: int, k: int) -> PairingMatrix:
-    """Entries are read from the normal forms: <lambda_S, lambda_T> is the
-    socle coefficient of the normal form of lambda_S lambda_T, or 0."""
+    """Entries are read from the genus's table of socle values:
+    <lambda_S, lambda_T> is the socle coefficient of lambda_S lambda_T,
+    found by the rewrites of the normal form, each state valued once per
+    genus however many entries reach it."""
     if not 0 <= k <= top_degree(g):
         raise ValueError(f"degree k={k} outside [0, {top_degree(g)}]")
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
     rows = basis_sets(g, k)
     cols = basis_sets(g, top_degree(g) - k)
-    socle = tuple(range(1, g))
-    entries = [
-        [Fraction(dict(_reduce_monomial(g, _exponents(g, r + c))).get(socle, 0)) for c in cols]
-        for r in rows
-    ]
+    entries = [[Fraction(x) for x in row] for row in _pairing_values(g, rows, cols)]
     return PairingMatrix(g, k, rows, cols, entries)
 
 

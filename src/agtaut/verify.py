@@ -175,9 +175,13 @@ def check_eisenstein_identity() -> str:
     for g in range(2, 11):
         totient = jacobi_totient_table(2 * g - 2, N)
         convolution = dirichlet_convolve(lambda n: sigma_1[n - 1], lambda n: n * totient[n - 1], N)
-        for d, (value, expected) in enumerate(zip(convolution, sigma_table(2 * g - 1, N)), 1):
-            _demand(f"convolution identity at g={g}, d={d}", value, expected)
-            checked += 1
+        # The sigma table is not kept: held into the next genus, beside the
+        # next convolution, it would raise the suite's peak memory.
+        if convolution != sigma_table(2 * g - 1, N):
+            expected = sigma_table(2 * g - 1, N)
+            d = next(d for d, (a, b) in enumerate(zip(convolution, expected), 1) if a != b)
+            _demand(f"convolution identity at g={g}, d={d}", convolution[d - 1], expected[d - 1])
+        checked += len(convolution)
     return f"series matches tilde projections (g<=8, d<=50); convolution identity on {checked} cases"
 
 

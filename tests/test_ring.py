@@ -234,8 +234,9 @@ def test_pairing_matrix_examples():
 
 
 def test_pairing_entries_equal_socle_pair():
-    # pairing_matrix reads entries from the normal forms; socle_pair goes
-    # through TautClass products.  Both must give the same Fraction.
+    # pairing_matrix reads entries from the per-genus table of socle values;
+    # socle_pair goes through TautClass products and normal forms.  Both
+    # must give the same Fraction.
     for g in range(1, 8):
         for k in range(top_degree(g) + 1):
             m = pairing_matrix(g, k)
@@ -243,6 +244,30 @@ def test_pairing_entries_equal_socle_pair():
                 for t, x in zip(m.cols, row):
                     assert type(x) is Fraction, (g, k, s, t)
                     assert x == socle_pair(taut(g, s), taut(g, t)), (g, k, s, t)
+
+
+def _per_entry_pairing(g, k):
+    socle = tuple(range(1, g))
+    cols = basis_sets(g, top_degree(g) - k)
+    return [
+        [dict(_reduce_monomial(g, _exponents(g, s + t))).get(socle, 0) for t in cols]
+        for s in basis_sets(g, k)
+    ]
+
+
+def test_pairing_matrix_equals_per_entry_normal_forms():
+    # The per-entry normal forms pairing_matrix used to read are the oracle
+    # for its table of socle values, g <= 11.  A second build, in scrambled
+    # degree order from an empty table, must reuse states without changing
+    # a value.
+    degrees = [(g, k) for g in range(1, 12) for k in range(top_degree(g) + 1)]
+    expected = {(g, k): _per_entry_pairing(g, k) for g, k in degrees}
+    for scramble in (False, True):
+        ring._socle_table.cache_clear()
+        if scramble:
+            random.Random(17).shuffle(degrees)
+        for g, k in degrees:
+            assert pairing_matrix(g, k).entries == expected[g, k], (g, k, scramble)
 
 
 def test_pairing_matrix_json():
@@ -258,6 +283,11 @@ def test_pairing_certificate_agrees_with_rank():
             m = pairing_matrix(g, k)
             assert m.is_certified(), (g, k)
             assert is_nonsingular([list(row) for row in m.entries]), (g, k)
+
+
+def test_pairing_certificate_at_genus_12():
+    for k in range(top_degree(12) + 1):
+        assert pairing_matrix(12, k).is_certified(), k
 
 
 def _perturbed(m, row, col, value):
@@ -404,6 +434,25 @@ def test_sweep_matches_recursive_rewriting():
                         _assert_matches_recursive_rewriting(g, _exponents(g, s + t))
         for g in range(2, 13):
             _assert_matches_recursive_rewriting(g, _exponents(g, [1] * top_degree(g)))
+    finally:
+        recursive_rewriting._reduce_monomial.cache_clear()
+
+
+def test_packed_digits_match_recursive_rewriting_at_width_boundaries():
+    # A packed exponent digit is as wide as the bit length of the factor
+    # count, so factor counts 2^j - 1, 2^j and 2^j + 1 are where a digit
+    # one bit too narrow would carry into the next index.
+    try:
+        for g in (3, 4, 5):
+            for j in range(2, 8):
+                for n in (2**j - 1, 2**j, 2**j + 1):
+                    for i in range(1, g):
+                        for l in range(i, g):
+                            for a in {0, 1, n // 2, n - 1, n}:
+                                exps = [0] * g
+                                exps[i - 1] += a
+                                exps[l - 1] += n - a
+                                _assert_matches_recursive_rewriting(g, tuple(exps))
     finally:
         recursive_rewriting._reduce_monomial.cache_clear()
 
