@@ -37,7 +37,6 @@ from .degrees import (
     nl_constant,
     oracle_index,
     sl2_order_enumerated,
-    sp4_f2_order_enumerated,
     sp_order,
     sp_order_prime,
 )

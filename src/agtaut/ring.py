@@ -8,21 +8,19 @@ piece sits in degree g(g-1)/2 and is spanned by lambda_1 ... lambda_{g-1}.
 
 Two independent implementations of the normal form live here:
 
-* ``reduce``: rewriting.  The degree-2k part of the defining relation,
-  modulo lambda_g, lets a squared factor be eliminated:
-
-      lambda_k^2  ->  2 * sum_{m=1}^{min(k, g-1-k)} (-1)^(m+1)
-                          lambda_{k-m} lambda_{k+m}
-
-  (lambda_0 = 1).  Squares are eliminated largest square index first.
-  A rewrite raises q = sum of squared indices by 2m^2, and q is bounded
-  at fixed weight, so one forward sweep in increasing q expands every
-  reachable monomial once, after all of its parents, and terminates.
-  The sweep runs on packed monomials: one int holds every exponent in a
-  digit of fixed width, a rewrite adds a constant to it, and bit masks
-  find the largest square.  Pairing matrices read socle values from one
-  table per genus, filled by the same rewrites, so a state that many
-  entries reach is valued once.
+* ``reduce``: rewriting.  Each ``relation(k, g)`` rewrites lambda_k^2 as a
+  sum of products lambda_{k-m} lambda_{k+m} (lambda_0 = 1).  The ring
+  vanishes above the socle degree g(g-1)/2 (van der Geer 1999), so a
+  monomial of larger weight is zero before any sweep.  Squares are
+  eliminated largest square index first.  A rewrite raises q = sum of
+  squared indices by 2m^2, and q is bounded at fixed weight, so one
+  forward sweep in increasing q expands every reachable monomial once,
+  after all of its parents, and terminates.  The sweep runs on packed
+  monomials, in one layout per genus: one int holds every exponent in a
+  digit wide enough for g(g-1)/2, a rewrite adds a constant to it, and
+  bit masks find the largest square.  Pairing matrices read socle values
+  from one table per genus, filled by the same rewrites, so a state that
+  many entries reach is valued once.
 
 * ``oracle_reduce``: localization and duality.  A socle integral is an
   Atiyah-Bott sum over the torus-fixed points of LG_{g-1} (see below and
@@ -202,11 +200,6 @@ class LambdaPolynomial(_SparseTerms):
     def weights(self) -> Tuple[int, ...]:
         return tuple(sorted({_weight(e) for e in self.terms}))
 
-    def homogeneous_part(self, w: int) -> "LambdaPolynomial":
-        return LambdaPolynomial(
-            self.g, {e: c for e, c in self.terms.items() if _weight(e) == w}
-        )
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"LambdaPolynomial(g={self.g}, 0)"
@@ -259,13 +252,9 @@ def relation(k: int, g: int) -> LambdaPolynomial:
     return LambdaPolynomial(g, terms)
 
 
-def _width(factors: int) -> int:
-    """Bits per exponent digit of a packed monomial with this many factors.
-
-    A rewrite never raises the number of factors, so no exponent exceeds
-    it; at least 2 bits, so an exponent of 2 shows outside the lowest bit.
-    """
-    return max(2, factors.bit_length())
+def _q(exps: Iterable[int]) -> int:
+    """q = sum of i^2 e_i, the order in which the sweep pops monomials."""
+    return sum(i * i * e for i, e in enumerate(exps, 1))
 
 
 def _pack(w: int, exps: Iterable[int]) -> int:
@@ -273,52 +262,62 @@ def _pack(w: int, exps: Iterable[int]) -> int:
     return sum(e << (w * i) for i, e in enumerate(exps))
 
 
-@lru_cache(maxsize=None)
-def _rewrite_table(g: int, w: int):
-    """Rewrites of packed monomials in genus g, digit width w, and the mask
-    of every digit bit but the lowest.
-
-    Entry k-1 lists (delta, 2m^2, +-2) per m: adding delta to a monomial
-    with lambda_k^2 replaces that square by lambda_{k-m} lambda_{k+m},
-    which raises q by 2m^2, with coefficient +-2.  A monomial is
-    square-free when it has no bit under the mask, and otherwise its
-    largest squared index is that of the highest digit there.
+class _Rewrites(dict):
+    """Rewrites of packed monomials in genus g, digit width w, read from
+    relation(k, g) the first time a square lambda_k^2 needs them.  Entry
+    k-1 lists (delta, dq, sign) per term of the relation other than
+    lambda_k^2: adding delta to a monomial with lambda_k^2 replaces that
+    square by the term's monomial, which raises q by dq, with coefficient
+    sign.
     """
 
-    def unit(i: int) -> int:
-        return 1 << w * (i - 1)  # lambda_i, packed
+    def __init__(self, g: int, w: int):
+        self.g, self.w = g, w
 
-    rules = tuple(
-        tuple(
-            (unit(k + m) - 2 * unit(k) + (unit(k - m) if k > m else 0), 2 * m * m, 2 if m % 2 else -2)
-            for m in range(1, min(k, g - 1 - k) + 1)
+    def __missing__(self, i: int) -> tuple:
+        w, square = self.w, _exponents(self.g, (i + 1, i + 1))
+        self[i] = tuple(
+            (_pack(w, exps) - _pack(w, square), _q(exps) - _q(square), -int(coeff))
+            for exps, coeff in relation(i + 1, self.g).terms.items()
+            if exps != square
         )
-        for k in range(1, g)
-    )
-    high = _pack(w, [(1 << w) - 2] * (g - 1))
-    return rules, high
+        return self[i]
+
+
+@lru_cache(maxsize=None)
+def _rewrite_table(g: int):
+    """The packed layout of genus g: the digit width w, the rewrites (see
+    _Rewrites), and the mask of every digit bit but the lowest.
+
+    A swept monomial has weight at most g(g-1)/2, so no exponent exceeds
+    that and w bits hold each; at least 2, so an exponent of 2 shows
+    outside the lowest bit.  A monomial is square-free when it has no bit
+    under the mask, and otherwise its largest squared index is that of the
+    highest digit there.
+    """
+    w = max(2, top_degree(g).bit_length())
+    return w, _Rewrites(g, w), _pack(w, [(1 << w) - 2] * (g - 1))
 
 
 @lru_cache(maxsize=None)
 def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, int], ...]:
     """Normal form of a single monomial, as ((indices, int coeff), ...).
 
-    Deletes lambda_g, packs the rest into one int (see _rewrite_table),
-    then sweeps forward in q = sum of i^2 e_i.  Pending monomials wait in
-    buckets keyed by q, and the buckets are popped in increasing q, in
-    steps of 2.  A popped monomial with a squared factor is rewritten
-    largest square index first, each rewrite one int addition; rewriting
-    lambda_k^2 to lambda_{k-m} lambda_{k+m} raises q by 2m^2, so every
-    parent of a monomial is popped before it.  Each monomial is thus
-    expanded once, with its coefficient final, and only the input is
-    cached.  The sweep ends because q is bounded at fixed weight; the
-    square-free survivors are the normal form.
+    A monomial with lambda_g, or of weight above g(g-1)/2, is zero.  Any
+    other is packed (see _rewrite_table) and swept forward in q (see _q).
+    Pending monomials wait in buckets keyed by q, and the buckets are
+    popped in increasing q, in steps of 2.  A popped monomial with a
+    squared factor is rewritten largest square index first, each rewrite
+    one int addition; rewriting lambda_k^2 to lambda_{k-m} lambda_{k+m}
+    raises q by 2m^2, so every parent of a monomial is popped before it.
+    Each monomial is thus expanded once, with its coefficient final, and
+    only the input is cached.  The sweep ends because q is bounded at fixed
+    weight; the square-free survivors are the normal form.
     """
-    if exps[g - 1] > 0:
+    if exps[g - 1] > 0 or _weight(exps) > top_degree(g):
         return ()
-    w = _width(sum(exps))
-    rules, high = _rewrite_table(g, w)
-    q = sum((i + 1) ** 2 * e for i, e in enumerate(exps))
+    w, rules, high = _rewrite_table(g)
+    q = _q(exps)
     pending = {q: {_pack(w, exps): 1}}
     survivors = []
     while pending:
@@ -566,8 +565,8 @@ class PairingMatrix:
 
 @lru_cache(maxsize=None)
 def _socle_table(g: int) -> dict:
-    """Socle values of top-weight monomials in genus g, packed with digits
-    of _width(2g - 2) bits, enough for any lambda_S lambda_T.
+    """Socle values of top-weight monomials in genus g, packed in the
+    genus's layout (see _rewrite_table).
 
     Filled by _pairing_values and shared by every degree of the genus;
     cache_clear() drops it.
@@ -588,11 +587,11 @@ def _pairing_values(g: int, rows, cols) -> List[List[int]]:
     none, gets 0.
     """
     table = _socle_table(g)
-    w = _width(2 * g - 2)
-    rules, high = _rewrite_table(g, w)
+    w, rules, high = _rewrite_table(g)
 
     def packed(sets):
-        return [(_pack(w, _exponents(g - 1, s)), sum(i * i for i in s)) for s in sets]
+        vectors = [_exponents(g - 1, s) for s in sets]
+        return [(_pack(w, exps), _q(exps)) for exps in vectors]
 
     rows, cols = packed(rows), packed(cols)
     pending: dict = {}

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import displayed_forms
+import symplectic_enumeration
 from agtaut.cli import run
 from agtaut.degrees import (
     ScaledMatrixShape,
@@ -18,7 +19,6 @@ from agtaut.degrees import (
     nl_composition,
     oracle_index,
     sl2_order_enumerated,
-    sp4_f2_order_enumerated,
     sp_order,
     sp_order_prime,
 )
@@ -40,7 +40,7 @@ def test_sp_order_prime_values():
 def test_sp_order_prime_against_enumeration():
     for p in (2, 3, 5):
         assert sp_order_prime(1, p) == sl2_order_enumerated(p)
-    assert sp_order_prime(2, 2) == sp4_f2_order_enumerated()
+    assert sp_order_prime(2, 2) == symplectic_enumeration.sp4_f2_order_enumerated()
 
 
 def test_sp_order_values():

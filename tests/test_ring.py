@@ -15,6 +15,7 @@ from agtaut.ring import (
     TautClass,
     _exponents,
     _reduce_monomial,
+    _weight,
     basis_sets,
     graded_dimension,
     monomials_of_weight,
@@ -62,9 +63,13 @@ def test_relation_is_chern_product_part():
     for g in range(2, 7):
         product = total_chern(g) * total_chern_dual(g) - LambdaPolynomial.one(g)
         for k in range(1, g):
-            part = product.homogeneous_part(2 * k)
             trimmed = LambdaPolynomial(
-                g, {e: c for e, c in part.terms.items() if e[g - 1] == 0}
+                g,
+                {
+                    e: c
+                    for e, c in product.terms.items()
+                    if _weight(e) == 2 * k and e[g - 1] == 0
+                },
             )
             assert trimmed == (-1) ** k * relation(k, g), (g, k)
 
@@ -319,7 +324,7 @@ def test_oracle_examples():
     assert oracle_reduce(mono(3, (1, 1))) == taut(3, (2,), 2)
     assert oracle_reduce(mono(4, (2, 3))) == taut(4, (2, 3))
     product = total_chern(4) * total_chern_dual(4)
-    part = product.homogeneous_part(4)
+    part = LambdaPolynomial(4, {e: c for e, c in product.terms.items() if _weight(e) == 4})
     assert oracle_reduce(part).is_zero()
 
 
@@ -439,22 +444,58 @@ def test_sweep_matches_recursive_rewriting():
 
 
 def test_packed_digits_match_recursive_rewriting_at_width_boundaries():
-    # A packed exponent digit is as wide as the bit length of the factor
-    # count, so factor counts 2^j - 1, 2^j and 2^j + 1 are where a digit
-    # one bit too narrow would carry into the next index.
+    # A packed exponent digit is as wide as the bit length of the socle
+    # degree g(g-1)/2, so the genera where that bit length grows are where a
+    # digit one bit too narrow would carry into the next index.  The inputs
+    # at each are the lambda_1^a lambda_l^b of top weight with the largest a
+    # or the largest b, lambda_1^top among them.
     try:
-        for g in (3, 4, 5):
-            for j in range(2, 8):
-                for n in (2**j - 1, 2**j, 2**j + 1):
-                    for i in range(1, g):
-                        for l in range(i, g):
-                            for a in {0, 1, n // 2, n - 1, n}:
-                                exps = [0] * g
-                                exps[i - 1] += a
-                                exps[l - 1] += n - a
-                                _assert_matches_recursive_rewriting(g, tuple(exps))
+        for g in (4, 5, 7, 9, 12):
+            top = top_degree(g)
+            for l in range(1, g):
+                for b in {1, top // l}:
+                    exps = [0] * g
+                    exps[0] += top - l * b
+                    exps[l - 1] += b
+                    _assert_matches_recursive_rewriting(g, tuple(exps))
     finally:
         recursive_rewriting._reduce_monomial.cache_clear()
+
+
+def test_weight_above_socle_is_zero_without_a_sweep(monkeypatch):
+    # R*(A_g) vanishes above degree g(g-1)/2, so these inputs return 0
+    # before any packed layout is built.
+    def no_sweep(g):
+        raise AssertionError(f"sweep entered at g={g}")
+
+    monkeypatch.setattr(ring, "_rewrite_table", no_sweep)
+    _reduce_monomial.cache_clear()
+    try:
+        assert reduce(mono(15, [2] * 60)).is_zero()
+        assert reduce(mono(14, [3] * 40)).is_zero()
+        assert multiply(taut(6, (1, 2, 3, 4, 5)), taut(6, (2, 3))).is_zero()
+    finally:
+        _reduce_monomial.cache_clear()
+
+
+def test_sweep_reads_only_the_relations_it_meets(monkeypatch):
+    # The rewrites of lambda_k^2 are read from relation(k, g) the first time
+    # a sweep meets that square, so a cold call at a large genus costs what
+    # its sweep costs, not g relations of g terms each.
+    read = []
+    monkeypatch.setattr(ring, "relation", lambda k, g: read.append(k) or relation(k, g))
+    ring._rewrite_table.cache_clear()
+    _reduce_monomial.cache_clear()
+    try:
+        assert reduce(mono(100, (1, 2))) == taut(100, (1, 2))
+        expected = TautClass(
+            100, {(50 - m, 50 + m): 2 * (-1) ** (m + 1) for m in range(1, 50)}
+        )
+        assert reduce(mono(100, (50, 50))) == expected
+        assert read == [50]
+    finally:
+        ring._rewrite_table.cache_clear()
+        _reduce_monomial.cache_clear()
 
 
 def test_ideal_slices_are_built_on_int(monkeypatch):
