@@ -6,7 +6,6 @@ The degree of the level-forgetting cover recovers symplectic group orders.
 """
 
 from agtaut.degrees import (
-    ScaledMatrixShape,
     deg_phi,
     deg_phi_stratified,
     deg_pi,
@@ -15,6 +14,7 @@ from agtaut.degrees import (
     oracle_index,
     sp_order,
     sp_order_prime,
+    stratum_size,
 )
 
 print("=== closed form vs stratified count ===")
@@ -26,9 +26,9 @@ for g, delta, p in ((1, (2,), 2), (2, (1, 4), 2), (2, (2, 2), 2), (3, (1, 3, 9),
 
 print()
 print("=== the stratum bookkeeping behind the count ===")
-shape = ScaledMatrixShape(2, 2, (1, 2))
-print(f"  shape exponents {shape.exponents}: N(i) = "
-      f"{[shape.n_count(i) for i in range(1, 5)]}, total {shape.total_exponent()} "
+exponents = (1, 2)
+sizes = [stratum_size(exponents, i) for i in range(1, 5)]
+print(f"  shape exponents {exponents}: N(i) = {sizes}, total {sum(sizes)} "
       f"= (2g+1) * sum(v)")
 
 print()

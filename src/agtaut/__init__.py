@@ -10,7 +10,6 @@ All arithmetic is exact rational; there is no floating point anywhere.
 
 from .arith import (
     Factorization,
-    Rational,
     abs_bernoulli,
     bernoulli,
     dirichlet_convolve,
@@ -26,7 +25,6 @@ from .arith import (
 )
 from .degrees import (
     PolarizationType,
-    ScaledMatrixShape,
     deg_phi,
     deg_phi_crt,
     deg_phi_special,
@@ -36,9 +34,9 @@ from .degrees import (
     nl_composition,
     nl_constant,
     oracle_index,
-    sl2_order_enumerated,
     sp_order,
     sp_order_prime,
+    stratum_size,
 )
 from .gw import conjecture_prediction, gw_tau1_lambda, triple_hodge_integral
 from .nl import (

@@ -18,15 +18,11 @@ from functools import lru_cache
 from math import isqrt, prod
 from typing import Callable, List, Tuple
 
-# The universal scalar type.  Fractions are always stored in lowest terms
-# with a positive denominator, and Python ints are arbitrary precision.
-Rational = Fraction
-
 # Trial division only; inputs beyond this are rejected rather than risking
 # a slow or probabilistic path.
 FACTORIZATION_CAP = 10**12
 
-ArithmeticFunction = Callable[[int], "Rational | int"]
+ArithmeticFunction = Callable[[int], "Fraction | int"]
 
 RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/\d+)?")
 
@@ -104,14 +100,15 @@ class Factorization:
         return f"Factorization({self.base}, {list(self.factors)})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> Factorization:
     """Factor a positive integer by trial division.
 
-    Rejects n < 1 and n > FACTORIZATION_CAP.  Cache fills are idempotent,
-    so concurrent use is safe.
+    Rejects a non-int n (TypeError), n < 1 and n > FACTORIZATION_CAP.  The
+    cache is typed, so a float or bool never reaches an int's entry.  Cache
+    fills are idempotent, so concurrent use is safe.
     """
-    if n < 1:
+    if as_int(n) < 1:
         raise ValueError(f"factorize requires a positive integer, got {n}")
     if n > FACTORIZATION_CAP:
         raise ValueError(f"factorize input {n} exceeds cap {FACTORIZATION_CAP}")
@@ -212,14 +209,16 @@ def _mobius_prime_power(p: int, e: int) -> int:
     return -1 if e == 1 else 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sigma(k: int, n: int) -> int | Fraction:
     """Divisor power sum sigma_k(n) = sum_{m | n} m^k, exact for any integer k.
 
     An int for k >= 0, from the multiplicative closed form
     prod_{p^e || n} (p^(k(e+1)) - 1) / (p^k - 1); for k < 0 the Fraction
-    sigma_{-k}(n) / n^(-k).
+    sigma_{-k}(n) / n^(-k).  A non-int k or n is a TypeError; the cache is
+    typed, so a float or bool never reaches an int's entry.
     """
+    k, n = as_int(k), as_int(n)
     if n < 1:
         raise ValueError(f"sigma requires n >= 1, got {n}")
     if k < 0:
@@ -227,12 +226,14 @@ def sigma(k: int, n: int) -> int | Fraction:
     return prod(_sigma_prime_power(k, p, e) for p, e in factorize(n).factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def jacobi_totient(k: int, n: int) -> int:
     """Jacobi totient J_k(n) = n^k prod_{p | n} (1 - p^{-k}).
 
-    An int for k >= 1, computed as prod_{p^e || n} p^(k(e-1)) (p^k - 1).
+    An int for k >= 1, computed as prod_{p^e || n} p^(k(e-1)) (p^k - 1).  A
+    non-int k or n is a TypeError, with a typed cache as for sigma.
     """
+    k, n = as_int(k), as_int(n)
     if n < 1 or k < 1:
         raise ValueError(f"jacobi_totient requires n >= 1 and k >= 1, got ({k}, {n})")
     return prod(_jacobi_totient_prime_power(k, p, e) for p, e in factorize(n).factors)

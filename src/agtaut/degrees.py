@@ -42,28 +42,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Union
 
 from .arith import as_int, factorize, is_prime, jacobi_totient
 
-# Enumeration caps.  AGTAUT_ORACLE_CAP may lower (or restore) them, but
-# never exceeds them.
+# Enumeration cap of the genus-1 index oracle.  AGTAUT_ORACLE_CAP may lower
+# (or restore) it, but never exceeds it.
 ORACLE_INDEX_HARD_CAP = 8
-SL2_ENUMERATION_HARD_CAP = 16
-
-
-def _env_cap(hard: int) -> int:
-    raw = os.environ.get("AGTAUT_ORACLE_CAP")
-    if raw is None:
-        return hard
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"AGTAUT_ORACLE_CAP must be an integer, got {raw!r}") from exc
-    return min(value, hard)
 
 
 class PolarizationType:
@@ -126,6 +113,7 @@ class PolarizationType:
 
 def sp_order_prime(g: int, p: int) -> int:
     """|Sp_2g(F_p)| = p^(g^2) prod_{i=1}^{g} (p^(2i) - 1)."""
+    g, p = as_int(g), as_int(p)
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     if not is_prime(p):
@@ -141,6 +129,7 @@ def sp_order(g: int, N: int) -> int:
 
     For a prime power p^k the order is p^((2g^2+g)(k-1)) |Sp_2g(F_p)|.
     """
+    g, N = as_int(g), as_int(N)
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
     if N < 1:
@@ -161,6 +150,7 @@ def isotropic_tuple_count(g: int, h: int, p: int) -> int:
 
     and asserts their equality before returning.
     """
+    g, h, p = as_int(g), as_int(h), as_int(p)
     if not 1 <= h <= g:
         raise ValueError(f"requires 1 <= h <= g, got h={h}, g={g}")
     if not is_prime(p):
@@ -185,6 +175,7 @@ def isotropic_tuple_count(g: int, h: int, p: int) -> int:
 def deg_phi_special(g: int, k: int, h: int, d: int) -> int:
     """Degree for delta = (1^k, d^h): d^(h(2g+1)) prod_{p|d} prod_{i=g-h+1}^{g} (1 - p^(-2i))
     = prod_{i=g-h+1}^{g} d^(2g+1-2i) J_2i(d)."""
+    g, k, h, d = as_int(g), as_int(k), as_int(h), as_int(d)
     if k + h != g:
         raise ValueError(f"k + h must equal g, got {k} + {h} != {g}")
     if k < 0 or h < 1 or d < 1:
@@ -197,6 +188,7 @@ def deg_phi_special(g: int, k: int, h: int, d: int) -> int:
 def deg_phi(g: int, delta) -> int:
     """Closed-form degree for an arbitrary chain (shorter chains are padded
     with leading 1 entries up to length g): prod_j d_j^(2g+1-2j) J_2j(d_j)."""
+    g = as_int(g)
     delta = PolarizationType(delta).padded(g)
     return math.prod(
         d_j ** (2 * g + 1 - 2 * j) * jacobi_totient(2 * j, d_j)
@@ -207,63 +199,35 @@ def deg_phi(g: int, delta) -> int:
 # -- stratified route -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScaledMatrixShape:
-    """Divisibility pattern of the congruence subgroup for a p-power chain.
+def stratum_size(exponents, i: int) -> int:
+    """N(i) for the congruence pattern of a p-power chain with exponents
+    v_1 <= ... <= v_g (v_j = v_p(d_j)): the number of free matrix positions
+    forced divisible by p^i, so the step-i stratum contributes p^N(i).
 
-    Exponents v_j = v_p(d_j) per row/column of the g-blocks.  In the block
-    decomposition [[A, B], [C, E]], entry (r, c) is forced divisible by
-    p^v_r in A, p^(v_r + v_c) in B, p^v_c in E, and unconstrained in C.
+    In the block decomposition [[A, B], [C, E]], entry (r, c) is forced
+    divisible by p^v_r in A, p^(v_r + v_c) in B, p^v_c in E, and
+    unconstrained in C; the free positions are A anywhere and B on r <= c,
+    so N(i) = g #{r : v_r >= i} + #{r <= c : v_r + v_c >= i}.
     """
-
-    g: int
-    p: int
-    exponents: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) != self.g:
-            raise ValueError("one exponent per chain entry is required")
-        if any(v < 0 for v in self.exponents):
-            raise ValueError("exponents must be non-negative")
-        if sorted(self.exponents) != list(self.exponents):
-            raise ValueError("exponents must be non-decreasing")
-
-    @property
-    def k(self) -> int:
-        return sum(1 for v in self.exponents if v == 0)
-
-    @property
-    def h(self) -> int:
-        return self.g - self.k
-
-    def n_count(self, i: int) -> int:
-        """Number of free positions (a anywhere, b on r <= c) forced
-        divisible by p^i; the step-i stratum contributes p^N(i)."""
-        v = self.exponents
-        count = 0
-        for r in range(1, self.g + 1):
-            for c in range(1, self.g + 1):
-                if v[r - 1] >= i:
-                    count += 1
-                if r <= c and v[r - 1] + v[c - 1] >= i:
-                    count += 1
-        return count
-
-    def total_exponent(self) -> int:
-        if not any(self.exponents):
-            return 0
-        top = 2 * max(self.exponents)
-        return sum(self.n_count(i) for i in range(1, top + 1))
+    v, i = tuple(map(as_int, exponents)), as_int(i)
+    if any(e < 0 for e in v):
+        raise ValueError(f"exponents must be non-negative, got {v}")
+    if sorted(v) != list(v):
+        raise ValueError(f"exponents must be non-decreasing, got {v}")
+    free_a = len([e for e in v if e >= i])
+    free_b = len([1 for r, a in enumerate(v) for b in v[r:] if a + b >= i])
+    return len(v) * free_a + free_b
 
 
 def deg_phi_stratified(g: int, delta, p: int) -> int:
     """Degree via the stratified p-adic count, for a chain of p-powers.
 
-    The exponent of p is accumulated combinatorially from the shape, not
+    The exponent of p is accumulated combinatorially from the strata, not
     taken from the closed form.  Mixed-prime chains are rejected; split
     them by prime and multiply (the congruence group is the intersection
     of its prime parts).
     """
+    g, p = as_int(g), as_int(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     delta = PolarizationType(delta).padded(g)
@@ -273,16 +237,17 @@ def deg_phi_stratified(g: int, delta, p: int) -> int:
             f"chain {delta} mixes primes; stratify one prime at a time "
             f"and combine multiplicatively"
         )
-    shape = ScaledMatrixShape(g, p, exponents)
-    if not shape.h:
+    h = sum(v > 0 for v in exponents)
+    if not h:
         return 1
     # p^N(1) prod_{i=g-h+1}^{g} (1 - p^(-2i)) is the isotropic tuple count
-    higher = sum(shape.n_count(i) for i in range(2, 2 * exponents[-1] + 1))
-    return p**higher * isotropic_tuple_count(g, shape.h, p)
+    higher = sum(stratum_size(exponents, i) for i in range(2, 2 * exponents[-1] + 1))
+    return p**higher * isotropic_tuple_count(g, h, p)
 
 
 def deg_phi_crt(g: int, delta) -> int:
     """Stratified degree for an arbitrary chain: product over its prime parts."""
+    g = as_int(g)
     delta = PolarizationType(delta).padded(g)
     primes = factorize(delta.product).primes()
     return math.prod(deg_phi_stratified(g, delta.p_part(p), p) for p in primes)
@@ -309,6 +274,7 @@ def _chain_correction(delta: PolarizationType) -> Fraction:
 
 def deg_pi(g: int, delta) -> int:
     """deg_pi = deg_phi times the correction with d_k exponent 2g - 4k + 2."""
+    g = as_int(g)
     delta = PolarizationType(delta).padded(g)
     value = deg_phi(g, delta) * _chain_correction(delta)
     if value.denominator != 1:
@@ -319,41 +285,29 @@ def deg_pi(g: int, delta) -> int:
 # -- enumeration oracle (genus 1) -------------------------------------------
 
 
-def _sl2_count(N: int) -> int:
-    """|SL_2(Z/N)| by exhausting 4-tuples: for each (a, b, c) the entries
-    with a*w - b*c = 1 are counted off a tabulation of a*w mod N.  Uncapped."""
-    count = 0
+def oracle_index(d: int) -> int:
+    """Genus-1 index oracle: exhaust SL_2(Z/d^2) as 4-tuples (for each
+    (a, b, c) the entries w with a*w - b*c = 1 are counted off a tabulation
+    of a*w mod d^2), count matrices of the congruence pattern (upper-left
+    = 1 mod d, upper-right = 0 mod d^2, lower-right = 1 mod d) and return
+    order / count."""
+    d = as_int(d)
+    raw = os.environ.get("AGTAUT_ORACLE_CAP")
+    try:
+        cap = ORACLE_INDEX_HARD_CAP if raw is None else min(int(raw), ORACLE_INDEX_HARD_CAP)
+    except ValueError as exc:
+        raise ValueError(f"AGTAUT_ORACLE_CAP must be an integer, got {raw!r}") from exc
+    if not 2 <= d <= cap:
+        raise ValueError(f"enumeration oracle requires 2 <= d <= {cap}, got {d}")
+    N = d * d
+    order = 0
     for a in range(N):
-        # tabulate how often a*w hits each residue as w runs over Z/N
         hits = [0] * N
         for w in range(N):
             hits[(a * w) % N] += 1
         for b in range(N):
             for c in range(N):
-                count += hits[(1 + b * c) % N]
-    return count
-
-
-def sl2_order_enumerated(N: int) -> int:
-    """|SL_2(Z/N)| by enumeration, within the SL_2 enumeration cap."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    cap = _env_cap(SL2_ENUMERATION_HARD_CAP)
-    if N > cap:
-        raise ValueError(f"SL_2 enumeration capped at N <= {cap}, got {N}")
-    return _sl2_count(N)
-
-
-def oracle_index(d: int) -> int:
-    """Genus-1 index oracle: exhaust SL_2(Z/d^2) as 4-tuples (tabulating the
-    determinant condition in the last coordinate), count matrices of the
-    congruence pattern (upper-left = 1 mod d, upper-right = 0 mod d^2,
-    lower-right = 1 mod d) and return order / count."""
-    cap = _env_cap(ORACLE_INDEX_HARD_CAP)
-    if not 2 <= d <= cap:
-        raise ValueError(f"enumeration oracle requires 2 <= d <= {cap}, got {d}")
-    N = d * d
-    order = _sl2_count(N)
+                order += hits[(1 + b * c) % N]
     pattern = 0
     for x in range(1, N, d):
         for w in range(1, N, d):
@@ -372,6 +326,7 @@ def nl_constant(g: int, delta) -> Fraction:
     type delta (length u, 2u <= g): C(delta) * deg_phi_{g-u}(delta), where
     C(delta) = deg_pi_u(delta) / deg_phi_u(delta) is the chain correction
     and deg_phi_{g-u} pads delta with leading 1 entries."""
+    g = as_int(g)
     delta = PolarizationType(delta)
     u = delta.u
     if 2 * u > g:

@@ -216,18 +216,16 @@ def check_isogeny_degrees() -> str:
     for trial in range(200):
         g = rng.randint(1, 6)
         exponents = tuple(sorted(rng.randint(0, 4) for _ in range(g)))
-        shape = degrees.ScaledMatrixShape(g, 2, exponents)
         _demand(
             f"stratum exponent bookkeeping #{trial} for shape {exponents} at g={g}",
-            shape.total_exponent(),
+            sum(degrees.stratum_size(exponents, i) for i in range(1, 2 * exponents[-1] + 1)),
             (2 * g + 1) * sum(exponents),
         )
     for g in range(1, 6):
         for h in range(1, g + 1):
-            shape = degrees.ScaledMatrixShape(g, 2, (0,) * (g - h) + (1,) * h)
             _demand(
                 f"first-stratum count at g={g}, h={h}",
-                shape.n_count(1),
+                degrees.stratum_size((0,) * (g - h) + (1,) * h, 1),
                 2 * g * h - h * (h - 1) // 2,
             )
     expected = {2: 6, 3: 24, 4: 48, 5: 120, 6: 144}
@@ -340,7 +338,8 @@ def run_suites(names: Optional[List[str]] = None, stream=None) -> bool:
     """Run the named suites (all by default); print one line per suite.
 
     Returns True when everything passed.  The first failure stops the run
-    after printing both sides of the violated identity.
+    after printing both sides of the violated identity, or the type and
+    message of the AssertionError or RuntimeError a library self-check raised.
     """
     stream = stream if stream is not None else sys.stdout
     names = list(CHECKS) if names is None else names
@@ -354,6 +353,9 @@ def run_suites(names: Optional[List[str]] = None, stream=None) -> bool:
             print(f"FAIL {name}: {failure.context}", file=stream)
             print(f"  lhs = {failure.lhs}", file=stream)
             print(f"  rhs = {failure.rhs}", file=stream)
+            return False
+        except (AssertionError, RuntimeError) as error:
+            print(f"FAIL {name}: {type(error).__name__}: {error}", file=stream)
             return False
         print(f"PASS {name}: {summary}", file=stream)
     return True

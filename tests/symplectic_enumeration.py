@@ -1,11 +1,26 @@
-"""Enumeration of Sp_4(F_2), kept as the reference for degrees.sp_order_prime.
+"""Enumerations of SL_2(Z/N) and Sp_4(F_2), the references for
+degrees.sp_order and degrees.sp_order_prime.
 
-The library computes |Sp_2g(F_p)| from the product formula; this counts the
-matrices preserving the symplectic form over F_2 in genus 2 one by one, so
-the tests can compare the two exactly.
+The library computes symplectic group orders from the product formula;
+these count the matrices one by one (genus 1 over Z/N, genus 2 over F_2),
+so the tests can compare the two exactly.
 """
 
 from typing import List, Tuple
+
+
+def sl2_order_enumerated(N: int) -> int:
+    """|SL_2(Z/N)| by exhausting 4-tuples: for each (a, b, c) the entries w
+    with a*w - b*c = 1 are counted off a tabulation of a*w mod N."""
+    count = 0
+    for a in range(N):
+        hits = [0] * N
+        for w in range(N):
+            hits[(a * w) % N] += 1
+        for b in range(N):
+            for c in range(N):
+                count += hits[(1 + b * c) % N]
+    return count
 
 
 def sp4_f2_order_enumerated() -> int:

@@ -301,6 +301,51 @@ def test_factorize_rejects_bad_input():
         factorize(FACTORIZATION_CAP + 1)
 
 
+@pytest.mark.parametrize(
+    "fn, inexact, exact",
+    [
+        (sigma, (1, 6.0), (1, 6)),
+        (sigma, (3, 5.0), (3, 5)),
+        (sigma, (1.0, 6), (1, 6)),
+        (sigma, (1, True), (1, 1)),
+        (jacobi_totient, (2, 7.0), (2, 7)),
+        (jacobi_totient, (True, 7), (1, 7)),
+        (factorize, (10.0,), (10,)),
+        (factorize, (True,), (1,)),
+    ],
+)
+def test_inexact_argument_does_not_poison_the_cache(fn, inexact, exact):
+    # the float or bool call comes first, on an empty cache; the int call
+    # after it must not be served the entry the float would have left, and
+    # a float or bool call after the int one must not be served the int's
+    fn.cache_clear()
+    with pytest.raises(TypeError):
+        fn(*inexact)
+    value = fn(*exact)
+    if fn is factorize:
+        assert value.base == exact[0] and all(type(p) is int for p, _ in value.factors)
+    else:
+        assert type(value) is int
+    with pytest.raises(TypeError):
+        fn(*inexact)
+
+
+def test_inexact_argument_does_not_poison_downstream_values():
+    from agtaut.degrees import deg_phi
+    from agtaut.gw import gw_tau1_lambda
+
+    jacobi_totient.cache_clear()
+    sigma.cache_clear()
+    with pytest.raises(TypeError):
+        jacobi_totient(2, 7.0)
+    with pytest.raises(TypeError):
+        sigma(3, 5.0)
+    assert deg_phi(1, (7,)) == 336 and type(deg_phi(1, (7,))) is int
+    assert gw_tau1_lambda(2, 5) == Fraction(7, 16)
+    with pytest.raises(TypeError):
+        divisors(6.0)
+
+
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)

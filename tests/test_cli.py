@@ -173,6 +173,27 @@ def test_verify_failure_prints_both_sides_and_exits_2(monkeypatch):
     assert "lhs = 1" in out and "rhs = 2" in out
 
 
+def test_verify_reports_a_failed_library_self_check_and_exits_2(monkeypatch):
+    from agtaut import degrees, verify as verify_module
+
+    def disagreeing_count(g, h, p):
+        raise AssertionError(f"isotropic count expressions disagree at (g={g}, h={h}, p={p})")
+
+    monkeypatch.setattr(degrees, "isotropic_tuple_count", disagreeing_count)
+    code, out, _ = invoke(["verify", "--suite", "isogeny-degrees"])
+    assert code == 2
+    assert out == "FAIL isogeny-degrees: AssertionError: isotropic count expressions disagree at (g=1, h=1, p=2)\n"
+
+    def broken_oracle():
+        raise RuntimeError("localized pairing is not certified")
+
+    # the first failure stops the run: the suite after it never starts
+    monkeypatch.setitem(verify_module.CHECKS, "demo-suite", broken_oracle)
+    code, out, _ = invoke(["verify", "--suite", "demo-suite", "--suite", "gw-consistency"])
+    assert code == 2
+    assert out == "FAIL demo-suite: RuntimeError: localized pairing is not certified\n"
+
+
 def test_usage_errors():
     code, _, err = invoke(["bogus"])
     assert code == 1 and "invalid choice" in err

@@ -9,7 +9,6 @@ import displayed_forms
 import symplectic_enumeration
 from agtaut.cli import run
 from agtaut.degrees import (
-    ScaledMatrixShape,
     deg_phi,
     deg_phi_crt,
     deg_phi_special,
@@ -17,10 +16,11 @@ from agtaut.degrees import (
     deg_pi,
     isotropic_tuple_count,
     nl_composition,
+    nl_constant,
     oracle_index,
-    sl2_order_enumerated,
     sp_order,
     sp_order_prime,
+    stratum_size,
 )
 
 
@@ -39,7 +39,7 @@ def test_sp_order_prime_values():
 
 def test_sp_order_prime_against_enumeration():
     for p in (2, 3, 5):
-        assert sp_order_prime(1, p) == sl2_order_enumerated(p)
+        assert sp_order_prime(1, p) == symplectic_enumeration.sl2_order_enumerated(p)
     assert sp_order_prime(2, 2) == symplectic_enumeration.sp4_f2_order_enumerated()
 
 
@@ -60,7 +60,7 @@ def test_sp_order_rejects_genus_below_one():
 
 def test_sp_order_against_enumeration_all_small_moduli():
     for N in range(1, 17):
-        assert sp_order(1, N) == sl2_order_enumerated(N), N
+        assert sp_order(1, N) == symplectic_enumeration.sl2_order_enumerated(N), N
 
 
 def test_isotropic_tuple_count_values():
@@ -72,6 +72,36 @@ def test_isotropic_tuple_count_values():
         for h in range(1, g + 1):
             for p in (2, 3, 5):
                 assert isotropic_tuple_count(g, h, p) > 0
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (sp_order_prime, (1, 2.0)),
+        (sp_order_prime, (True, 2)),
+        (sp_order, (True, 2)),
+        (sp_order, (1, 4.0)),
+        (isotropic_tuple_count, (2, True, 2)),
+        (isotropic_tuple_count, (True, 1, 2)),
+        (isotropic_tuple_count, (2, 1, 2.0)),
+        (deg_phi_special, (2, 1, 1, 2.0)),
+        (deg_phi_special, (2, True, 1, 2)),
+        (deg_phi_special, (2, 1, True, 2)),
+        (deg_phi_special, (True, 0, 1, 2)),
+        (deg_phi, (True, (2,))),
+        (deg_phi_stratified, (True, (2,), 2)),
+        (deg_phi_stratified, (1, (2,), 2.0)),
+        (deg_phi_crt, (True, (2,))),
+        (deg_pi, (True, (2,))),
+        (nl_constant, (True, (1,))),
+        (oracle_index, (2.0,)),
+        (oracle_index, (True,)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_integer_arguments_reject_bool_and_float(fn, args):
+    with pytest.raises(TypeError, match="expected an int"):
+        fn(*args)
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -137,22 +167,24 @@ def test_deg_phi_crt_matches_closed_form():
         assert deg_phi_crt(g, delta) == deg_phi(g, delta)
 
 
+def total_exponent(exps):
+    """Sum of N(i) over every stratum i >= 1 of the shape."""
+    return sum(stratum_size(exps, i) for i in range(1, 2 * max(exps, default=0) + 1))
+
+
 def test_shape_bookkeeping():
-    shape = ScaledMatrixShape(2, 2, (1, 2))
-    assert shape.k == 0 and shape.h == 2
+    assert [stratum_size((1, 2), i) for i in range(1, 6)] == [7, 5, 2, 1, 0]
     # N(i) over all strata accounts for the full power of p
-    assert shape.total_exponent() == (2 * 2 + 1) * 3
+    assert total_exponent((1, 2)) == (2 * 2 + 1) * 3
     rng = random.Random(99)
     for _ in range(200):
         g = rng.randint(1, 6)
         exps = tuple(sorted(rng.randint(0, 4) for _ in range(g)))
-        shape = ScaledMatrixShape(g, 3, exps)
-        assert shape.total_exponent() == (2 * g + 1) * sum(exps)
+        assert total_exponent(exps) == (2 * g + 1) * sum(exps)
     # first stratum on a (1^k, p^h) shape
     for g in range(1, 7):
         for h in range(1, g + 1):
-            shape = ScaledMatrixShape(g, 2, (0,) * (g - h) + (1,) * h)
-            assert shape.n_count(1) == 2 * g * h - h * (h - 1) // 2
+            assert stratum_size((0,) * (g - h) + (1,) * h, 1) == 2 * g * h - h * (h - 1) // 2
 
 
 def test_stratified_premise_on_every_shape():
@@ -162,10 +194,9 @@ def test_stratified_premise_on_every_shape():
     for g in range(1, 7):
         for exps in combinations_with_replacement(range(5), g):
             for p in (2, 3, 5):
-                shape = ScaledMatrixShape(g, p, exps)
-                h = shape.h
-                assert shape.n_count(1) == 2 * g * h - h * (h - 1) // 2, (g, exps)
-                reference = Fraction(p) ** shape.total_exponent()
+                h = sum(v > 0 for v in exps)
+                assert stratum_size(exps, 1) == 2 * g * h - h * (h - 1) // 2, (g, exps)
+                reference = Fraction(p) ** total_exponent(exps)
                 for i in range(g - h + 1, g + 1):
                     reference *= 1 - Fraction(p) ** (-2 * i)
                 delta = tuple(p**v for v in exps)
@@ -175,10 +206,13 @@ def test_stratified_premise_on_every_shape():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        ScaledMatrixShape(2, 2, (2, 1))  # not non-decreasing
-    with pytest.raises(ValueError):
-        ScaledMatrixShape(2, 2, (1,))  # wrong length
+    with pytest.raises(ValueError, match="non-decreasing"):
+        stratum_size((2, 1), 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        stratum_size((-1, 1), 1)
+    for exps, i in (((0, True), 1), ((0, 1.0), 1), ((0, 1), 1.0), ((0, 1), True)):
+        with pytest.raises(TypeError):
+            stratum_size(exps, i)
 
 
 # -- the level-forgetting cover ------------------------------------------------------
