@@ -129,7 +129,8 @@ def factorize(n: int) -> Factorization:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Whether n is prime; a non-int n is a TypeError."""
+    if as_int(n) < 2:
         return False
     f = factorize(n).factors
     return len(f) == 1 and f[0][1] == 1
@@ -139,7 +140,14 @@ def divisors(n: int) -> Tuple[int, ...]:
     return factorize(n).divisors()
 
 
-@lru_cache(maxsize=None)
+# (T_1, ..., T_M) from the last Brent-Harvey pass (T_m at index m - 1).
+# bernoulli regrows it to at least twice its length when a larger m is asked
+# for, so all the passes together cost O(M^2) for the largest M asked.  It
+# is rebound, never edited, so a caller that holds it may index it safely.
+_tangent_numbers: Tuple[int, ...] = ()
+
+
+@lru_cache(maxsize=None, typed=True)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n.
 
@@ -149,9 +157,10 @@ def bernoulli(n: int) -> Fraction:
     tangent numbers T_m (Brent and Harvey, "Fast computation of Bernoulli,
     Tangent and Secant numbers", 2011) as
     B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), all on int until the last
-    division.
+    division.  A non-int n is a TypeError; the cache is typed, so a float or
+    bool never reaches an int's entry or the tangent table.
     """
-    if n < 0:
+    if as_int(n) < 0:
         raise ValueError(f"bernoulli requires n >= 0, got {n}")
     if n == 0:
         return Fraction(1)
@@ -159,24 +168,29 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
+    global _tangent_numbers
     m = n // 2
+    tangents = _tangent_numbers
+    if m > len(tangents):
+        tangents = _tangent_numbers = _tangent_table(max(m, 2 * len(tangents)))
     four_m = 4**m
-    value = Fraction(n * _tangent_number(m), four_m * (four_m - 1))
+    value = Fraction(n * tangents[m - 1], four_m * (four_m - 1))
     return value if m % 2 else -value
 
 
-def _tangent_number(m: int) -> int:
-    """Tangent number T_m, the coefficient of x^(2m-1)/(2m-1)! in tan x.
+def _tangent_table(M: int) -> Tuple[int, ...]:
+    """(T_1, ..., T_M), T_m the coefficient of x^(2m-1)/(2m-1)! in tan x.
 
-    Brent-Harvey in-place recurrence: O(m^2) operations on ints.
+    One Brent-Harvey in-place pass: O(M^2) operations on ints, and T_k is
+    final once step k is done, so the pass for M yields every T_m, m <= M.
     """
-    t = [0, 1] + [0] * (m - 1)
-    for k in range(2, m + 1):
+    t = [0, 1] + [0] * (M - 1)
+    for k in range(2, M + 1):
         t[k] = (k - 1) * t[k - 1]
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
+    for k in range(2, M + 1):
+        for j in range(k, M + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[m]
+    return tuple(t[1:])
 
 
 def abs_bernoulli(n: int) -> Fraction:
@@ -240,8 +254,9 @@ def jacobi_totient(k: int, n: int) -> int:
 
 
 def mobius(n: int) -> int:
-    """Moebius function: 0 on non-square-free n, else (-1)^(number of primes)."""
-    if n < 1:
+    """Moebius function: 0 on non-square-free n, else (-1)^(number of primes).
+    A non-int n is a TypeError."""
+    if as_int(n) < 1:
         raise ValueError(f"mobius requires n >= 1, got {n}")
     return prod(_mobius_prime_power(p, e) for p, e in factorize(n).factors)
 

@@ -1,4 +1,4 @@
-"""Degrees of the level-structure covers, with a brute-force oracle.
+"""Degrees of the level-structure covers, with an enumeration oracle.
 
 For a polarization type delta = (d_1 | ... | d_g) of full length g, the
 cover that quotients out half of the polarization kernel has degree
@@ -16,8 +16,9 @@ computable in three independent ways:
   count comes from the transitive action on those tuples, and since N(1)
   is exactly its p-power part, p^N(1) prod_{i=g-h+1}^{g} (1 - p^(-2i)) is
   that count;
-* enumeration (genus 1): count matrices of the pattern inside SL_2(Z/d^2)
-  and divide the group order by the count.
+* enumeration (genus 1): count SL_2(Z/d^2) as sum_s P(s) P(s - 1), with
+  P(s) the number of pairs (x, y) mod d^2 with x*y = s, count the matrices
+  of the pattern inside it and divide the order by that count.
 
 The forgetful cover that drops the level structure has degree
 
@@ -286,11 +287,13 @@ def deg_pi(g: int, delta) -> int:
 
 
 def oracle_index(d: int) -> int:
-    """Genus-1 index oracle: exhaust SL_2(Z/d^2) as 4-tuples (for each
-    (a, b, c) the entries w with a*w - b*c = 1 are counted off a tabulation
-    of a*w mod d^2), count matrices of the congruence pattern (upper-left
-    = 1 mod d, upper-right = 0 mod d^2, lower-right = 1 mod d) and return
-    order / count."""
+    """Genus-1 index oracle: enumerate SL_2(Z/N), N = d^2, and the matrices
+    of the congruence pattern inside it (upper-left = 1 mod d, upper-right
+    = 0 mod d^2, lower-right = 1 mod d), and return order / count.
+
+    The order counts the solutions of a*w - b*c = 1 as
+    sum_s P(s) P(s - 1), where P(s) = #{(x, y) in (Z/N)^2 : x*y = s} is
+    tabulated over all N^2 pairs; no group-order formula is used."""
     d = as_int(d)
     raw = os.environ.get("AGTAUT_ORACLE_CAP")
     try:
@@ -300,14 +303,11 @@ def oracle_index(d: int) -> int:
     if not 2 <= d <= cap:
         raise ValueError(f"enumeration oracle requires 2 <= d <= {cap}, got {d}")
     N = d * d
-    order = 0
-    for a in range(N):
-        hits = [0] * N
-        for w in range(N):
-            hits[(a * w) % N] += 1
-        for b in range(N):
-            for c in range(N):
-                order += hits[(1 + b * c) % N]
+    products = [0] * N
+    for x in range(N):
+        for y in range(N):
+            products[x * y % N] += 1
+    order = sum(products[s] * products[s - 1] for s in range(N))
     pattern = 0
     for x in range(1, N, d):
         for w in range(1, N, d):

@@ -77,7 +77,8 @@ class QSeries:
         for d, c in enumerate(self.coeffs[1:], 1):
             if c:
                 power = "q" if d == 1 else f"q^{d}"
-                bits.append(f"- {-c} {power}" if c < 0 else f"+ {c} {power}")
+                text = str(c)
+                bits.append(f"- {text[1:]} {power}" if text[0] == "-" else f"+ {text} {power}")
         return " ".join(bits)
 
     def __repr__(self) -> str:
@@ -225,13 +226,15 @@ def eisenstein_series(g: int, D: int) -> QSeries:
     Normalized with constant term 1; the q^d coefficient is
     -(4g / B_2g) sigma_{2g-1}(d).  With sign(B_2g) = (-1)^(g+1) this is
     exactly 24 (-1)^g times the lambda_{g-1} coefficient of the projected
-    degree-d tilde cycle.
+    degree-d tilde cycle.  With the lead -4g / B_2g = p/q in lowest terms,
+    each coefficient is built once as Fraction(p sigma_{2g-1}(d), q).
     """
     g, D = as_int(g), as_int(D)
     if g < 2 or D < 0:
         raise ValueError(f"requires g >= 2 and D >= 0, got ({g}, {D})")
     lead = Fraction(-4 * g) / bernoulli(2 * g)
-    coeffs = [lead * s for s in sigma_table(2 * g - 1, D)] if D else []
+    p, q = lead.numerator, lead.denominator
+    coeffs = [Fraction(p * s, q) for s in sigma_table(2 * g - 1, D)] if D else []
     return QSeries([1] + coeffs)
 
 

@@ -3,7 +3,9 @@ degrees.sp_order and degrees.sp_order_prime.
 
 The library computes symplectic group orders from the product formula;
 these count the matrices one by one (genus 1 over Z/N, genus 2 over F_2),
-so the tests can compare the two exactly.
+so the tests can compare the two exactly.  degrees.oracle_index counts
+SL_2(Z/d^2) by its own enumeration, sum_s P(s) P(s - 1) over the products
+x*y = s; sl2_order_enumerated is the 4-tuple loop that it replaced.
 """
 
 from typing import List, Tuple

@@ -4,6 +4,7 @@ from math import comb, gcd
 
 import pytest
 
+from agtaut import arith
 from agtaut.arith import (
     FACTORIZATION_CAP,
     RATIONAL_PATTERN,
@@ -32,6 +33,18 @@ def bernoulli_by_recurrence(limit):
     for n in range(1, limit + 1):
         values.append(-sum(comb(n + 1, k) * values[k] for k in range(n)) / (n + 1))
     return values
+
+
+def tangent_number(m):
+    """T_m alone: a Brent-Harvey pass of length m, rerun for every m (the
+    per-index form that the shared tangent table replaced)."""
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[m]
 
 
 # Whole-range references by a sieve over the multiples of each d: neither
@@ -103,6 +116,32 @@ def test_bernoulli_tangent_numbers_match_recurrence():
         assert type(value) is Fraction and value == expected, n
 
 
+def test_tangent_table_matches_per_index_pass():
+    assert arith._tangent_table(200) == tuple(tangent_number(m) for m in range(1, 201))
+
+
+def test_bernoulli_tangent_table_regrowth():
+    def cold():
+        bernoulli.cache_clear()
+        arith._tangent_numbers = ()
+
+    cold()
+    ascending = {n: bernoulli(n) for n in range(2, 401)}
+    # each regrowth at least doubles the table: 1, 2, 4, ..., 256 entries
+    assert len(arith._tangent_numbers) == 256
+    for n, expected in enumerate(bernoulli_by_recurrence(160)[2:], 2):
+        assert ascending[n] == expected, n
+    descending = list(range(398, 1, -1))
+    shuffled = descending[:]
+    random.Random(1729).shuffle(shuffled)
+    for order in (descending, shuffled):
+        cold()
+        assert bernoulli(400) == ascending[400]
+        assert len(arith._tangent_numbers) == 200
+        for n in order:
+            assert bernoulli(n) == ascending[n], n
+
+
 def test_bernoulli_sign_pattern():
     # sign(B_2g) = (-1)^(g+1)
     for g in range(1, 12):
@@ -112,6 +151,14 @@ def test_bernoulli_sign_pattern():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_bernoulli_rejects_non_int():
+    arith._tangent_numbers = ()
+    for n in (True, 3.0, 400.0, Fraction(4)):
+        with pytest.raises(TypeError):
+            bernoulli(n)
+    assert arith._tangent_numbers == ()  # no float index reached the table
 
 
 def test_sigma_values():
@@ -213,6 +260,12 @@ def test_eisenstein_convolution_integer_form():
             rational_form = d * rational_table[d - 1]
             assert type(integer_form) is int
             assert integer_form == rational_form == sigma(2 * g - 1, d), (g, d)
+
+
+def test_mobius_rejects_non_int():
+    for n in (True, 0.5, 6.0):
+        with pytest.raises(TypeError):
+            mobius(n)
 
 
 def test_mobius_values():
@@ -349,6 +402,12 @@ def test_inexact_argument_does_not_poison_downstream_values():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
+
+
+def test_is_prime_rejects_non_int():
+    for n in (True, 1.0, 7.0):
+        with pytest.raises(TypeError):
+            is_prime(n)
 
 
 def test_divisors():

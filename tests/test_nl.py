@@ -6,7 +6,7 @@ import pytest
 
 import displayed_forms
 from agtaut import degrees, nl
-from agtaut.arith import factorize
+from agtaut.arith import bernoulli, factorize, sigma
 from agtaut.degrees import deg_phi
 from agtaut.linalg import identity, invert, mat_mul
 from agtaut.nl import (
@@ -282,6 +282,15 @@ def test_taut_nl_d_special_rejects_non_int_arguments():
             taut_nl_d_special(g, d)
 
 
+def test_eisenstein_matches_fraction_multiply_route():
+    # the route eisenstein_series replaced: one Fraction multiply per
+    # coefficient.  g <= 5 and g = 7 have integral leads; g = 6 brings 691.
+    for g in range(2, 17):
+        lead = Fraction(-4 * g) / bernoulli(2 * g)
+        expected = [Fraction(1)] + [lead * sigma(2 * g - 1, d) for d in range(1, 201)]
+        assert eisenstein_series(g, 200).coeffs == tuple(expected), g
+
+
 def test_eisenstein_matches_tilde_projection():
     for g in (2, 3, 5):
         series = eisenstein_series(g, 12)
@@ -294,6 +303,8 @@ def test_qseries_interface():
     series = QSeries([1, Fraction(1, 2), 0, -2])
     assert series.order == 3
     assert str(series) == "1 + 1/2 q - 2 q^3"
+    assert str(QSeries([1, Fraction(-1, 2), 0, 3])) == "1 - 1/2 q + 3 q^3"
+    assert str(QSeries([-1, -1, Fraction(-7, 3)])) == "-1 - 1 q - 7/3 q^2"
     assert QSeries.from_json(series.to_json()) == series
     with pytest.raises(ValueError):
         series.coefficient(4)
