@@ -140,10 +140,9 @@ def divisors(n: int) -> Tuple[int, ...]:
     return factorize(n).divisors()
 
 
-# (T_1, ..., T_M) from the last Brent-Harvey pass (T_m at index m - 1).
-# bernoulli regrows it to at least twice its length when a larger m is asked
-# for, so all the passes together cost O(M^2) for the largest M asked.  It
-# is rebound, never edited, so a caller that holds it may index it safely.
+# (T_1, ..., T_M) from the last Brent-Harvey pass (T_m at index m - 1), M
+# the largest m asked for.  It is rebound, never edited, so a caller that
+# holds it may index it safely.
 _tangent_numbers: Tuple[int, ...] = ()
 
 
@@ -172,10 +171,17 @@ def bernoulli(n: int) -> Fraction:
     m = n // 2
     tangents = _tangent_numbers
     if m > len(tangents):
-        tangents = _tangent_numbers = _tangent_table(max(m, 2 * len(tangents)))
+        tangents = _tangent_numbers = _tangent_table(m)
     four_m = 4**m
     value = Fraction(n * tangents[m - 1], four_m * (four_m - 1))
     return value if m % 2 else -value
+
+
+def clear_bernoulli_cache() -> None:
+    """Empty bernoulli's cache and the tangent table behind it."""
+    global _tangent_numbers
+    bernoulli.cache_clear()
+    _tangent_numbers = ()
 
 
 def _tangent_table(M: int) -> Tuple[int, ...]:

@@ -121,14 +121,11 @@ def test_tangent_table_matches_per_index_pass():
 
 
 def test_bernoulli_tangent_table_regrowth():
-    def cold():
-        bernoulli.cache_clear()
-        arith._tangent_numbers = ()
-
+    cold = arith.clear_bernoulli_cache
     cold()
     ascending = {n: bernoulli(n) for n in range(2, 401)}
-    # each regrowth at least doubles the table: 1, 2, 4, ..., 256 entries
-    assert len(arith._tangent_numbers) == 256
+    # the table holds exactly T_1..T_M for the largest m = n/2 asked
+    assert len(arith._tangent_numbers) == 200
     for n, expected in enumerate(bernoulli_by_recurrence(160)[2:], 2):
         assert ascending[n] == expected, n
     descending = list(range(398, 1, -1))
@@ -154,7 +151,7 @@ def test_bernoulli_rejects_negative():
 
 
 def test_bernoulli_rejects_non_int():
-    arith._tangent_numbers = ()
+    arith.clear_bernoulli_cache()
     for n in (True, 3.0, 400.0, Fraction(4)):
         with pytest.raises(TypeError):
             bernoulli(n)
