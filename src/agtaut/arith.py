@@ -267,11 +267,20 @@ def mobius(n: int) -> int:
     return prod(_mobius_prime_power(p, e) for p, e in factorize(n).factors)
 
 
-@lru_cache(maxsize=1)
+# (prime, exponent, cofactor) over 0..M, M the largest N asked for.  A table
+# over 1..N reads only indices <= N, so one sieve serves every N <= M.  It is
+# rebound, never edited, so a caller that holds it may index it safely.
+_sieve: Tuple[List[int], List[int], List[int]] = ([0], [0], [0])
+
+
 def _prime_power_sieve(N: int) -> Tuple[List[int], List[int], List[int]]:
-    """(prime, exponent, cofactor) over 0..N: for n >= 2, p = prime[n] is
-    the smallest prime dividing n, p^e || n with e = exponent[n], and
-    cofactor[n] = n / p^e.  Only the last sieve is kept."""
+    """(prime, exponent, cofactor) over 0..M for some M >= N: for n >= 2,
+    p = prime[n] is the smallest prime dividing n, p^e || n with e =
+    exponent[n], and cofactor[n] = n / p^e.  A larger N than the kept sieve
+    covers rebuilds it for exactly N."""
+    global _sieve
+    if N < len(_sieve[0]):
+        return _sieve
     prime = list(range(N + 1))
     # Largest p first, so prime[n] ends as the smallest divisor p > 1 of n
     # with p^2 <= n, which is prime; a prime n has none and keeps n.
@@ -286,7 +295,8 @@ def _prime_power_sieve(N: int) -> Tuple[List[int], List[int], List[int]]:
             exponent[n], cofactor[n] = exponent[m] + 1, cofactor[m]
         else:
             exponent[n], cofactor[n] = 1, m
-    return prime, exponent, cofactor
+    _sieve = prime, exponent, cofactor
+    return _sieve
 
 
 def _multiplicative_table(prime_power: Callable[[int, int], int], N: int) -> List[int]:
@@ -326,8 +336,8 @@ def mobius_table(N: int) -> List[int]:
 def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction, N: int) -> List[int | Fraction]:
     """[(f * g)(n) for n = 1..N], f and g evaluated once per n.  One pass over
     multiples: the slice out[a - 1 :: a] holds n = ab for b = 1..N // a and
-    gains f(a) g(b); every sum starts from int 0."""
-    if N < 1:
+    gains f(a) g(b); every sum starts from int 0.  A non-int N is a TypeError."""
+    if as_int(N) < 1:
         raise ValueError(f"dirichlet_convolve requires N >= 1, got {N}")
     g_values = [g(b) for b in range(1, N + 1)]
     out = [0] * N

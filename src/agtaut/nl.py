@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterator, List, Sequence, Tuple
 
 from .arith import (
     RATIONAL_PATTERN,
@@ -51,41 +52,81 @@ from .ring import LambdaPolynomial, TautClass, multiply, reduce
 
 
 class QSeries:
-    """Truncated power series in q with exact rational coefficients."""
+    """Truncated power series in q with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored as one int numerator per coefficient over a single positive
+    common denominator, the least one: gcd(denominator, *numerators) == 1.
+    So two series are equal exactly when their ints are, whichever
+    constructor built them.  coeffs and coefficient(d) give Fractions;
+    str() and to_json_dict() format straight from the ints.
+    """
+
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Sequence):
         if not coeffs:
             raise ValueError("a q-series stores at least the constant term")
-        self.coeffs = tuple(map(as_rational, coeffs))
+        values = [as_rational(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in values))
+        self.numerators = tuple(c.numerator * (den // c.denominator) for c in values)
+        self.denominator = den
+
+    @classmethod
+    def _over(cls, numerators: List[int], den: int) -> "QSeries":
+        """The series numerators[d] / den, den > 0, in least terms."""
+        common = gcd(den, *numerators)
+        if common > 1:
+            numerators = [n // common for n in numerators]
+        series = cls.__new__(cls)
+        series.numerators = tuple(numerators)
+        series.denominator = den // common
+        return series
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def coefficient(self, d: int) -> Fraction:
-        if not 0 <= d <= self.order:
+        if not 0 <= as_int(d) <= self.order:
             raise ValueError(f"coefficient index {d} outside [0, {self.order}]")
-        return self.coeffs[d]
+        return Fraction(self.numerators[d], self.denominator)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QSeries) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, QSeries)
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
+
+    def _texts(self) -> Iterator[str]:
+        """str(Fraction(n, denominator)) for each numerator n in turn, from
+        at most one gcd each and none when the denominator is 1."""
+        den = self.denominator
+        if den == 1:
+            return map(str, self.numerators)
+        return (
+            str(n // den) if (common := gcd(n, den)) == den else f"{n // common}/{den // common}"
+            for n in self.numerators
+        )
 
     def __str__(self) -> str:
-        bits = [str(self.coeffs[0])]
-        for d, c in enumerate(self.coeffs[1:], 1):
-            if c:
+        texts = self._texts()
+        bits = [next(texts)]
+        for d, (n, text) in enumerate(zip(self.numerators[1:], texts), 1):
+            if n:
                 power = "q" if d == 1 else f"q^{d}"
-                text = str(c)
-                bits.append(f"- {text[1:]} {power}" if text[0] == "-" else f"+ {text} {power}")
+                bits.append(f"- {text[1:]} {power}" if n < 0 else f"+ {text} {power}")
         return " ".join(bits)
 
     def __repr__(self) -> str:
         return f"QSeries(order={self.order}, {self})"
 
     def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": list(self._texts())}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -227,15 +268,15 @@ def eisenstein_series(g: int, D: int) -> QSeries:
     -(4g / B_2g) sigma_{2g-1}(d).  With sign(B_2g) = (-1)^(g+1) this is
     exactly 24 (-1)^g times the lambda_{g-1} coefficient of the projected
     degree-d tilde cycle.  With the lead -4g / B_2g = p/q in lowest terms,
-    each coefficient is built once as Fraction(p sigma_{2g-1}(d), q).
+    the series is [q] + [p sigma_{2g-1}(d)] over q, all on int.
     """
     g, D = as_int(g), as_int(D)
     if g < 2 or D < 0:
         raise ValueError(f"requires g >= 2 and D >= 0, got ({g}, {D})")
     lead = Fraction(-4 * g) / bernoulli(2 * g)
     p, q = lead.numerator, lead.denominator
-    coeffs = [Fraction(p * s, q) for s in sigma_table(2 * g - 1, D)] if D else []
-    return QSeries([1] + coeffs)
+    numerators = [q] + ([p * s for s in sigma_table(2 * g - 1, D)] if D else [])
+    return QSeries._over(numerators, q)
 
 
 # -- formal expressions and the projection calculus ------------------------

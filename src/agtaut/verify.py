@@ -166,23 +166,25 @@ def check_eisenstein_identity() -> str:
                 scale * series.coefficient(d),
                 nl.taut_nl_tilde(g, d).coefficient((g - 1,)),
             )
-    # d (sigma_{-1} * J_{2g-2})(d) = sigma_{2g-1}(d), evaluated on int: the
-    # convolution is equal term by term to (sigma_1 * n J_{2g-2}(n))(d),
-    # because d sigma_{-1}(m) J(d/m) = sigma_1(m) (d/m) J(d/m).
-    N = 10000
-    sigma_1 = sigma_table(1, N)
-    checked = 0
-    for g in range(2, 11):
-        totient = jacobi_totient_table(2 * g - 2, N)
-        convolution = dirichlet_convolve(lambda n: sigma_1[n - 1], lambda n: n * totient[n - 1], N)
-        # The sigma table is not kept: held into the next genus, beside the
-        # next convolution, it would raise the suite's peak memory.
-        if convolution != sigma_table(2 * g - 1, N):
-            expected = sigma_table(2 * g - 1, N)
-            d = next(d for d, (a, b) in enumerate(zip(convolution, expected), 1) if a != b)
-            _demand(f"convolution identity at g={g}, d={d}", convolution[d - 1], expected[d - 1])
-        checked += len(convolution)
+    sigma_1 = sigma_table(1, 10000)
+    checked = sum(_check_convolution_identity(g, sigma_1) for g in range(2, 11))
     return f"series matches tilde projections (g<=8, d<=50); convolution identity on {checked} cases"
+
+
+def _check_convolution_identity(g: int, sigma_1: List[int]) -> int:
+    """d (sigma_{-1} * J_{2g-2})(d) = sigma_{2g-1}(d) for d up to len(sigma_1),
+    evaluated on int: the convolution is equal term by term to
+    (sigma_1 * n J_{2g-2}(n))(d), because d sigma_{-1}(m) J(d/m) = sigma_1(m)
+    (d/m) J(d/m).  Returns the number of d checked.  One genus per call, so
+    none of its tables is held beside the next genus's (peak memory)."""
+    N = len(sigma_1)
+    totient = jacobi_totient_table(2 * g - 2, N)
+    convolution = dirichlet_convolve(lambda n: sigma_1[n - 1], lambda n: n * totient[n - 1], N)
+    if convolution != sigma_table(2 * g - 1, N):
+        expected = sigma_table(2 * g - 1, N)
+        d = next(d for d, (a, b) in enumerate(zip(convolution, expected), 1) if a != b)
+        _demand(f"convolution identity at g={g}, d={d}", convolution[d - 1], expected[d - 1])
+    return N
 
 
 # -- 6. isogeny degrees ---------------------------------------------------------

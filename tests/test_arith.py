@@ -219,6 +219,28 @@ def test_tables_are_fresh_lists():
     assert sigma_table(1, 6) == [1, 3, 4, 7, 6, 12]
 
 
+def tables_match_scalars(N):
+    return (
+        sigma_table(1, N) == [sigma(1, n) for n in range(1, N + 1)]
+        and jacobi_totient_table(2, N) == [jacobi_totient(2, n) for n in range(1, N + 1)]
+        and mobius_table(N) == [mobius(n) for n in range(1, N + 1)]
+    )
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(3000, 1, 2, 17, 1000, 2999, 3000), (1, 2, 17, 1000, 2999, 3000), (3000, 100, 4000, 3999)],
+    ids=["largest-first", "ascending", "regrowth"],
+)
+def test_one_sieve_serves_every_smaller_range(monkeypatch, sizes):
+    # One sieve is kept, over the largest N asked so far; a smaller N reads
+    # its first entries and a larger one rebuilds it for exactly that N.
+    monkeypatch.setattr(arith, "_sieve", ([0], [0], [0]))
+    for i, N in enumerate(sizes):
+        assert tables_match_scalars(N), N
+        assert len(arith._sieve[0]) == max(sizes[: i + 1]) + 1, N
+
+
 def test_jacobi_totient_values():
     assert jacobi_totient(2, 1) == 1
     assert jacobi_totient(2, 4) == 12
@@ -304,6 +326,13 @@ def test_dirichlet_convolution_table_matches_divisor_walk(f, g, integral):
 def test_dirichlet_convolution_rejects_empty_range():
     for N in (0, -3):
         with pytest.raises(ValueError):
+            dirichlet_convolve(lambda m: 1, mobius, N)
+
+
+def test_dirichlet_convolution_rejects_non_int_range():
+    # dirichlet_convolve(f, g, True) used to return [1], the range 1..1.
+    for N in (True, 5.0, "5"):
+        with pytest.raises(TypeError):
             dirichlet_convolve(lambda m: 1, mobius, N)
 
 

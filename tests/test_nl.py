@@ -282,13 +282,42 @@ def test_taut_nl_d_special_rejects_non_int_arguments():
             taut_nl_d_special(g, d)
 
 
+def fraction_series_text(coeffs):
+    """The text QSeries printed when it stored Fractions: str of each
+    coefficient, the sign of a q-term read from that text."""
+    bits = [str(coeffs[0])]
+    for d, c in enumerate(coeffs[1:], 1):
+        if c:
+            power = "q" if d == 1 else f"q^{d}"
+            text = str(c)
+            bits.append(f"- {text[1:]} {power}" if text[0] == "-" else f"+ {text} {power}")
+    return " ".join(bits)
+
+
 def test_eisenstein_matches_fraction_multiply_route():
-    # the route eisenstein_series replaced: one Fraction multiply per
-    # coefficient.  g <= 5 and g = 7 have integral leads; g = 6 brings 691.
+    # The route eisenstein_series replaced: one Fraction multiply per
+    # coefficient, printed by str(Fraction).  g <= 5 and g = 7 have integral
+    # leads; the others bring denominators (691, 3617, ...) and both signs.
     for g in range(2, 17):
         lead = Fraction(-4 * g) / bernoulli(2 * g)
-        expected = [Fraction(1)] + [lead * sigma(2 * g - 1, d) for d in range(1, 201)]
-        assert eisenstein_series(g, 200).coeffs == tuple(expected), g
+        for order in (0, 1, 200):
+            expected = [Fraction(1)] + [lead * sigma(2 * g - 1, d) for d in range(1, order + 1)]
+            series = eisenstein_series(g, order)
+            assert series.coeffs == tuple(expected), (g, order)
+            assert str(series) == fraction_series_text(expected), (g, order)
+            json_dict = {"order": order, "coeffs": [str(c) for c in expected]}
+            assert series.to_json_dict() == json_dict, (g, order)
+            assert QSeries.from_json(series.to_json()) == series, (g, order)
+            assert QSeries(expected) == series, (g, order)
+
+
+def test_qseries_keeps_the_least_common_denominator():
+    series = QSeries([Fraction(1, 6), Fraction(-3, 4), 2, 0])
+    assert (series.numerators, series.denominator) == ((2, -9, 24, 0), 12)
+    assert QSeries([Fraction(2, 4), 1]) == QSeries([Fraction(1, 2), Fraction(4, 4)])
+    assert QSeries([0, 0]).denominator == 1
+    assert str(QSeries([Fraction(-6, 3), Fraction(2, 6), Fraction(-4, 2)])) == "-2 + 1/3 q - 2 q^2"
+    assert str(QSeries([0, Fraction(1, 2)])) == "0 + 1/2 q"
 
 
 def test_eisenstein_matches_tilde_projection():
@@ -308,6 +337,12 @@ def test_qseries_interface():
     assert QSeries.from_json(series.to_json()) == series
     with pytest.raises(ValueError):
         series.coefficient(4)
+    # coefficient(True) used to return the q^1 coefficient.
+    for d in (True, 1.0):
+        with pytest.raises(TypeError):
+            series.coefficient(d)
+    with pytest.raises(TypeError):
+        eisenstein_series(2, 3).coefficient(True)
     with pytest.raises(ValueError):
         QSeries([])
     with pytest.raises(TypeError):
