@@ -12,6 +12,7 @@ from .arith import (
     Factorization,
     abs_bernoulli,
     bernoulli,
+    clear_caches as _clear_arith_caches,
     dirichlet_convolve,
     divisors,
     factorize,
@@ -57,6 +58,7 @@ from .ring import (
     LambdaPolynomial,
     PairingMatrix,
     TautClass,
+    clear_caches as _clear_ring_caches,
     graded_dimension,
     multiply,
     oracle_reduce,
@@ -71,3 +73,9 @@ from .ring import (
 from .verify import VerificationFailure, run_suites
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every cache of computed values: arith's and ring's."""
+    _clear_arith_caches()
+    _clear_ring_caches()

@@ -3,11 +3,12 @@
 Everything downstream consumes these scalars: Bernoulli numbers, divisor
 power sums, Jacobi totients, the Moebius function and Dirichlet
 convolution.  The multiplicative functions come one value at a time
-(cached) or as a table over a whole range 1..N.  Integral quantities are
-Python ``int``s (sigma_k for k >= 0, Jacobi totients, Moebius values);
-genuinely rational ones (Bernoulli numbers, sigma_k for k < 0) are
-``fractions.Fraction``s.  No floating point is used anywhere in the
-package.
+(cached) or as a table over a whole range 1..N, and the convolution takes
+two such tables and returns a third; clear_caches() empties every cache
+and table the module keeps.  Integral quantities are Python ``int``s
+(sigma_k for k >= 0, Jacobi totients, Moebius values); genuinely rational
+ones (Bernoulli numbers, sigma_k for k < 0) are ``fractions.Fraction``s.
+No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from typing import Callable, List, Tuple
 # Trial division only; inputs beyond this are rejected rather than risking
 # a slow or probabilistic path.
 FACTORIZATION_CAP = 10**12
-
-ArithmeticFunction = Callable[[int], "Fraction | int"]
 
 RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/\d+)?")
 
@@ -333,14 +332,41 @@ def mobius_table(N: int) -> List[int]:
     return _multiplicative_table(_mobius_prime_power, N)
 
 
-def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction, N: int) -> List[int | Fraction]:
-    """[(f * g)(n) for n = 1..N], f and g evaluated once per n.  One pass over
-    multiples: the slice out[a - 1 :: a] holds n = ab for b = 1..N // a and
-    gains f(a) g(b); every sum starts from int 0.  A non-int N is a TypeError."""
-    if as_int(N) < 1:
-        raise ValueError(f"dirichlet_convolve requires N >= 1, got {N}")
-    g_values = [g(b) for b in range(1, N + 1)]
-    out = [0] * N
-    for a, fa in enumerate(map(f, range(1, N + 1)), 1):
-        out[a - 1 :: a] = [total + fa * gb for total, gb in zip(out[a - 1 :: a], g_values)]
+def clear_caches() -> None:
+    """Empty every cache of this module: bernoulli's with its tangent table,
+    sigma's, jacobi_totient's, factorize's and the kept sieve."""
+    global _sieve
+    clear_bernoulli_cache()
+    for cached in (sigma, jacobi_totient, factorize):
+        cached.cache_clear()
+    _sieve = ([0], [0], [0])
+
+
+def dirichlet_convolve(f: List, g: List) -> List:
+    """[(f * g)(n) for n = 1..N] from the value lists f and g of one length
+    N (f[n - 1] = f(n)).
+
+    Dirichlet's hyperbola split with s = isqrt(N) pushes each pair ab <= N
+    once, in about 2 sqrt(N) slice updates: the terms with a = 1, and those
+    with b = 1 and a > s, build out in one pass; each a = 2..s adds f(a) g(b)
+    along out[a - 1 :: a]; each b = 2..N // (s + 1) adds f(a) g(b) for a > s
+    along out[(s + 1) b - 1 :: b].  The b = 1 terms join the first pass,
+    while the values are still small: as a full-length slice after the
+    a-loop they raise the peak memory by a third.  Values of any exact
+    type; on int the result is int.  An empty list, or lists of unequal
+    length, is a ValueError; a non-list is a TypeError.
+    """
+    N, M = len(as_list(f)), len(as_list(g))
+    if N == 0 or M != N:
+        raise ValueError(f"dirichlet_convolve requires lists of one length >= 1, got {N} and {M}")
+    s = isqrt(N)
+    f1, g1 = f[0], g[0]
+    out = [f1 * gn + fn * g1 if n > s else f1 * gn for n, fn, gn in zip(range(1, N + 1), f, g)]
+    for a in range(2, s + 1):
+        fa = f[a - 1]
+        out[a - 1 :: a] = [total + fa * gb for total, gb in zip(out[a - 1 :: a], g)]
+    for b in range(2, N // (s + 1) + 1):
+        gb = g[b - 1]
+        start = (s + 1) * b - 1
+        out[start::b] = [total + fa * gb for total, fa in zip(out[start::b], f[s : N // b])]
     return out

@@ -182,8 +182,13 @@ def taut_nl_d_special(g: int, d: int) -> TautClass:
     g, d = as_int(g), as_int(d)
     if g < 2 or d < 1:
         raise ValueError(f"requires g >= 2 and d >= 1, got ({g}, {d})")
-    coeff = Fraction(g * d * jacobi_totient(2 * g - 2, d)) / (6 * abs_bernoulli(2 * g))
+    coeff = Fraction(_d_special_numerator(g, d)) / (6 * abs_bernoulli(2 * g))
     return TautClass.monomial(g, (g - 1,), coeff)
+
+
+def _d_special_numerator(g: int, d: int) -> int:
+    """g d J_{2g-2}(d): taut_nl_d_special's coefficient times 6 |B_2g|."""
+    return g * d * jacobi_totient(2 * g - 2, d)
 
 
 def taut_nl_pair_special(g: int, d1: int, d2: int) -> TautClass:
@@ -231,7 +236,7 @@ def plain_to_tilde(D: int) -> List[List[int]]:
     """Inverse of tilde_to_plain: kernel mu * (n mu(n)), the Dirichlet
     inverse of sigma_1 = 1 * id.  Int entries."""
     mu = mobius_table(D)
-    return _divisor_matrix(dirichlet_convolve(lambda n: mu[n - 1], lambda n: n * mu[n - 1], D))
+    return _divisor_matrix(dirichlet_convolve(mu, [n * m for n, m in enumerate(mu, 1)]))
 
 
 def taut_nl_tilde(g: int, d: int) -> TautClass:
@@ -240,25 +245,25 @@ def taut_nl_tilde(g: int, d: int) -> TautClass:
     For d >= 1 the lambda_{g-1} coefficient is computed along two
     independent routes, the divisor sum over the plain cycles of
     taut_nl_d_special and the closed form g sigma_{2g-1}(d) / (6 |B_2g|);
-    their equality is asserted on every call.  The d = 0 class is the
-    convention ((-1)^g / 24) lambda_{g-1}.  g and d must be ints (a bool is
-    a TypeError).
+    their equality is asserted on every call.  Both routes share the
+    denominator 6 |B_2g|, so their numerators are summed and compared on
+    int.  The d = 0 class is the convention ((-1)^g / 24) lambda_{g-1}.  g
+    and d must be ints (a bool is a TypeError).
     """
     g, d = as_int(g), as_int(d)
     if g < 2 or d < 0:
         raise ValueError(f"requires g >= 2 and d >= 0, got ({g}, {d})")
     if d == 0:
         return TautClass.monomial(g, (g - 1,), Fraction((-1) ** g, 24))
-    total = sum(
-        sigma(1, d // dhat) * taut_nl_d_special(g, dhat).coefficient((g - 1,))
-        for dhat in divisors(d)
-    )
-    closed = Fraction(g * sigma(2 * g - 1, d)) / (6 * abs_bernoulli(2 * g))
+    scale = 6 * abs_bernoulli(2 * g)
+    total = sum(sigma(1, d // dhat) * _d_special_numerator(g, dhat) for dhat in divisors(d))
+    closed = g * sigma(2 * g - 1, d)
     if total != closed:
         raise AssertionError(
-            f"tilde routes disagree at (g={g}, d={d}): divisor sum {total} vs closed form {closed}"
+            f"tilde routes disagree at (g={g}, d={d}): divisor sum {Fraction(total) / scale}"
+            f" vs closed form {Fraction(closed) / scale}"
         )
-    return TautClass.monomial(g, (g - 1,), closed)
+    return TautClass.monomial(g, (g - 1,), Fraction(closed) / scale)
 
 
 def eisenstein_series(g: int, D: int) -> QSeries:

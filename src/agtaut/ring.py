@@ -629,7 +629,11 @@ def pairing_matrix(g: int, k: int) -> PairingMatrix:
         raise ValueError(f"genus must be >= 1, got {g}")
     rows = basis_sets(g, k)
     cols = basis_sets(g, top_degree(g) - k)
-    entries = [[Fraction(x) for x in row] for row in _pairing_values(g, rows, cols)]
+    values = _pairing_values(g, rows, cols)
+    # One Fraction per distinct value, shared by its entries: most are 0 or
+    # +-1, so the matrices for g <= 11 hold 6,196 Fractions, not 41,696.
+    shared = {x: Fraction(x) for x in set(chain.from_iterable(values))}
+    entries = [[shared[x] for x in row] for row in values]
     return PairingMatrix(g, k, rows, cols, entries)
 
 
@@ -739,3 +743,19 @@ def oracle_reduce(p: LambdaPolynomial) -> TautClass:
             for indices, c in _oracle_monomial(g, exps)
         ),
     )
+
+
+def clear_caches() -> None:
+    """Empty every cache of this module, both routes' and the shared ones."""
+    for cached in (
+        _rewrite_table,
+        _reduce_monomial,
+        graded_dimension,
+        basis_sets,
+        _socle_table,
+        monomials_of_weight,
+        _fixed_points,
+        _localized_pairing,
+        _oracle_monomial,
+    ):
+        cached.cache_clear()

@@ -178,8 +178,8 @@ def _check_convolution_identity(g: int, sigma_1: List[int]) -> int:
     (d/m) J(d/m).  Returns the number of d checked.  One genus per call, so
     none of its tables is held beside the next genus's (peak memory)."""
     N = len(sigma_1)
-    totient = jacobi_totient_table(2 * g - 2, N)
-    convolution = dirichlet_convolve(lambda n: sigma_1[n - 1], lambda n: n * totient[n - 1], N)
+    weighted = [n * t for n, t in enumerate(jacobi_totient_table(2 * g - 2, N), 1)]
+    convolution = dirichlet_convolve(sigma_1, weighted)
     if convolution != sigma_table(2 * g - 1, N):
         expected = sigma_table(2 * g - 1, N)
         d = next(d for d, (a, b) in enumerate(zip(convolution, expected), 1) if a != b)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, gcd
 
@@ -249,8 +250,9 @@ def test_jacobi_totient_values():
 
 
 def test_jacobi_totient_is_moebius_convolution():
+    mu = [mobius(m) for m in range(1, 1001)]
     for k in range(2, 9):
-        table = dirichlet_convolve(lambda m: m**k, mobius, 1000)
+        table = dirichlet_convolve([m**k for m in range(1, 1001)], mu)
         for n, convolution in enumerate(table, 1):
             value = jacobi_totient(k, n)
             assert value.denominator == 1
@@ -269,10 +271,10 @@ def test_eisenstein_convolution_integer_form():
     for g in range(2, 11):
         k = 2 * g - 2
         integer_table = dirichlet_convolve(
-            lambda m: sigma(1, m), lambda n: n * jacobi_totient(k, n), 300
+            [sigma(1, m) for m in range(1, 301)], [n * jacobi_totient(k, n) for n in range(1, 301)]
         )
         rational_table = dirichlet_convolve(
-            lambda m: sigma(-1, m), lambda n: jacobi_totient(k, n), 300
+            [sigma(-1, m) for m in range(1, 301)], [jacobi_totient(k, n) for n in range(1, 301)]
         )
         for d in range(1, 301):
             integer_form = integer_table[d - 1]
@@ -297,9 +299,11 @@ def test_mobius_values():
 
 def test_dirichlet_convolution_examples():
     # 1 * mu is the convolution identity: zero away from n = 1
-    assert dirichlet_convolve(lambda m: 1, mobius, 5)[4] == 0
-    assert dirichlet_convolve(lambda m: 1, mobius, 1) == [1]
-    table = dirichlet_convolve(lambda m: sigma(-1, m), lambda m: jacobi_totient(2, m), 4)
+    assert dirichlet_convolve([1] * 5, [mobius(m) for m in range(1, 6)])[4] == 0
+    assert dirichlet_convolve([1], [mobius(1)]) == [1]
+    table = dirichlet_convolve(
+        [sigma(-1, m) for m in range(1, 5)], [jacobi_totient(2, m) for m in range(1, 5)]
+    )
     assert table[0] == 1
     lhs = 4 * table[3]
     assert lhs == 73 == sigma(3, 4)
@@ -315,7 +319,8 @@ def test_dirichlet_convolution_examples():
     ids=["one-id0", "one-id1", "one-id2", "one-id3", "mu-n-mu", "sigma-1-J2"],
 )
 def test_dirichlet_convolution_table_matches_divisor_walk(f, g, integral):
-    table = dirichlet_convolve(f, g, 2000)
+    span = range(1, 2001)
+    table = dirichlet_convolve(list(map(f, span)), list(map(g, span)))
     assert len(table) == 2000
     for n, value in enumerate(table, 1):
         assert value == dirichlet_convolve_by_divisors(f, g, n), n
@@ -324,16 +329,53 @@ def test_dirichlet_convolution_table_matches_divisor_walk(f, g, integral):
 
 
 def test_dirichlet_convolution_rejects_empty_range():
-    for N in (0, -3):
+    # the range is the lists' common length: empty or unequal is refused
+    for f, g in (([], []), ([1], [1, -1]), ([1, 1, 1], [1, -1])):
         with pytest.raises(ValueError):
-            dirichlet_convolve(lambda m: 1, mobius, N)
+            dirichlet_convolve(f, g)
 
 
-def test_dirichlet_convolution_rejects_non_int_range():
-    # dirichlet_convolve(f, g, True) used to return [1], the range 1..1.
-    for N in (True, 5.0, "5"):
-        with pytest.raises(TypeError):
-            dirichlet_convolve(lambda m: 1, mobius, N)
+def test_dirichlet_convolution_rejects_non_list():
+    # a callable, a tuple, a str or an int is not a value list
+    for value in (mobius, (1, -1), "11", 2):
+        for f, g in ((value, [1, -1]), ([1, -1], value)):
+            with pytest.raises(TypeError):
+                dirichlet_convolve(f, g)
+
+
+def test_dirichlet_convolution_matches_divisor_walk_across_hyperbola_splits():
+    # every N in 1..150 passes N = s^2 - 1, s^2 and s^2 + s for s = isqrt(N),
+    # where the a- and b-ranges of the split meet differently
+    rng = random.Random(2357)
+    for N in range(1, 151):
+        ints = [rng.randint(-50, 50) for _ in range(2 * N)]
+        fracs = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(2 * N)]
+        for f, g in ((ints[:N], ints[N:]), (fracs[:N], fracs[N:]), (ints[:N], fracs[N:])):
+            table = dirichlet_convolve(f, g)
+            assert len(table) == N
+            for n, value in enumerate(table, 1):
+                expected = dirichlet_convolve_by_divisors(lambda m: f[m - 1], lambda m: g[m - 1], n)
+                assert value == expected, (N, n)
+        assert all(type(value) is int for value in dirichlet_convolve(ints[:N], ints[N:])), N
+
+
+def test_dirichlet_convolution_peak_memory_below_twice_the_result():
+    # the b = 1 terms go into the first list, where the values are still
+    # small; added by a full-length slice after the a-loop, the peak rises
+    # to about 2.3 times the result on the suite's own lists
+    N = 2000
+    sigma_1 = sigma_table(1, N)
+    weighted = [n * t for n, t in enumerate(jacobi_totient_table(18, N), 1)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = dirichlet_convolve(sigma_1, weighted)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table == sigma_table(19, N)
+    assert peak - before < 2 * (after - before), (peak - before, after - before)
 
 
 @pytest.mark.parametrize("text", ["1", "-3", "+7", "5/3", "-1/2", "0/4", "12/8"])

@@ -241,8 +241,9 @@ def test_plain_to_tilde_kernel_at_prime_powers():
 
 
 def test_tilde_divisor_sum_is_checked(monkeypatch):
-    # A wrong u = 1 coefficient must make the divisor-sum route disagree.
-    monkeypatch.setattr(nl, "taut_nl_d_special", lambda g, d: taut(g, (g - 1,), 1))
+    # A wrong u = 1 coefficient must make the divisor-sum route disagree;
+    # the route sums the u = 1 numerators g d J_{2g-2}(d) on int.
+    monkeypatch.setattr(nl, "_d_special_numerator", lambda g, d: 1)
     with pytest.raises(AssertionError, match="tilde routes disagree"):
         taut_nl_tilde(3, 6)
 
