@@ -4,6 +4,11 @@ Every subcommand maps to one library operation or verification suite,
 prints exact values (rationals always as p/q, never decimals) and is
 byte-identical across runs.  Exit codes: 0 success, 1 usage error,
 2 verification failure.
+
+A query is parsed once: when its first word names a subcommand, that
+subcommand's own parser reads the rest of the line.  Anything else (no
+words, --help, an unknown subcommand) goes through the top-level parser,
+which reports it.  Both routes give the same arguments and messages.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from . import degrees, gw, nl, ring, verify
 from .arith import parse_rational
@@ -191,22 +196,35 @@ COMMANDS: Dict[str, _Command] = {
 
 
 @lru_cache(maxsize=None)
-def _parser() -> _Parser:
-    """The argument parser, built from COMMANDS on first use."""
+def _parser() -> Tuple[_Parser, Dict[str, _Parser]]:
+    """The top-level argument parser and each subcommand's own parser by
+    name, built from COMMANDS on first use."""
     parser = _Parser(prog="agtaut", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
+    subparsers = {}
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = subparsers[name] = sub.add_parser(name, help=command.help)
         flags = {"--g": _INT, **command.flags, "--json": dict(action="store_true")}
         # positionals first: argparse names missing arguments in this order
         for flag in sorted(flags, key=lambda f: f.startswith("-")):
             p.add_argument(flag, **flags[flag])
-    verify_parser = sub.add_parser("verify", help="run verification suites")
+    verify_parser = subparsers["verify"] = sub.add_parser("verify", help="run verification suites")
     selection = verify_parser.add_mutually_exclusive_group()
     selection.add_argument("--all", action="store_true")
     selection.add_argument("--suite", action="append", default=[])
     verify_parser.add_argument("--list", action="store_true")
-    return parser
+    return parser, subparsers
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """The arguments of one query, parsed by a single parser."""
+    parser, subparsers = _parser()
+    subparser = subparsers.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args = subparser.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _verify(args, out) -> int:
@@ -223,7 +241,7 @@ def run(argv: List[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
         if args.command == "verify":

@@ -45,7 +45,7 @@ import math
 import os
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from .arith import as_int, factorize, is_prime, jacobi_totient
 
@@ -257,30 +257,39 @@ def deg_phi_crt(g: int, delta) -> int:
 # -- degree of the level-forgetting cover -----------------------------------
 
 
-def _chain_correction(delta: PolarizationType) -> Fraction:
+def _chain_correction(delta: PolarizationType) -> Tuple[int, int]:
     """prod_k d_k^(2n - 4k + 2) * prod_{1 <= i < j <= n} prod_{p | d_j / d_i}
-    (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1))), with n the chain length; the
-    pair factor is r^2 J_{2(j-i)}(r) / J_{2(j-i+1)}(r) with r = d_j / d_i."""
+    (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1))), with n the chain length, as an
+    int numerator and a positive int denominator: a negative d_k exponent
+    goes to the denominator, and the pair factor is r^2 J_{2(j-i)}(r) /
+    J_{2(j-i+1)}(r) with r = d_j / d_i (1 when r = 1)."""
     entries = delta.entries
     n = len(entries)
-    c = Fraction(1)
+    num = den = 1
     for k, d_k in enumerate(entries, start=1):
-        c *= Fraction(d_k) ** (2 * n - 4 * k + 2)
+        e = 2 * n - 4 * k + 2
+        if e >= 0:
+            num *= d_k**e
+        else:
+            den *= d_k**-e
     for (i, d_i), (j, d_j) in combinations(enumerate(entries), 2):
         r = d_j // d_i
-        s = 2 * (j - i)
-        c *= Fraction(r * r * jacobi_totient(s, r), jacobi_totient(s + 2, r))
-    return c
+        if r > 1:
+            s = 2 * (j - i)
+            num *= r * r * jacobi_totient(s, r)
+            den *= jacobi_totient(s + 2, r)
+    return num, den
 
 
 def deg_pi(g: int, delta) -> int:
     """deg_pi = deg_phi times the correction with d_k exponent 2g - 4k + 2."""
     g = as_int(g)
     delta = PolarizationType(delta).padded(g)
-    value = deg_phi(g, delta) * _chain_correction(delta)
-    if value.denominator != 1:
-        raise AssertionError(f"deg_pi({g}, {delta}) is not an integer: {value}")
-    return value.numerator
+    num, den = _chain_correction(delta)
+    num *= deg_phi(g, delta)
+    if num % den:
+        raise AssertionError(f"deg_pi({g}, {delta}) is not an integer: {Fraction(num, den)}")
+    return num // den
 
 
 # -- enumeration oracle (genus 1) -------------------------------------------
@@ -331,7 +340,8 @@ def nl_constant(g: int, delta) -> Fraction:
     u = delta.u
     if 2 * u > g:
         raise ValueError(f"type {delta} too long for genus {g}")
-    return _chain_correction(delta) * deg_phi(g - u, delta)
+    num, den = _chain_correction(delta)
+    return Fraction(num * deg_phi(g - u, delta), den)
 
 
 def nl_composition(g: int, delta) -> Dict[str, object]:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterator, List, Sequence, Tuple
 
@@ -49,6 +50,10 @@ from .arith import (
 )
 from .degrees import PolarizationType, nl_constant
 from .ring import LambdaPolynomial, TautClass, multiply, reduce
+
+# Largest truncation order of eisenstein_series: its sigma table, and the
+# prime-power sieve under it, hold a list of order + 1 ints each.
+EISENSTEIN_ORDER_CAP = 10**5
 
 
 class QSeries:
@@ -104,22 +109,31 @@ class QSeries:
 
     def _texts(self) -> Iterator[str]:
         """str(Fraction(n, denominator)) for each numerator n in turn, from
-        at most one gcd each and none when the denominator is 1."""
+        one gcd each and none when the denominator is 1."""
         den = self.denominator
         if den == 1:
             return map(str, self.numerators)
         return (
-            str(n // den) if (common := gcd(n, den)) == den else f"{n // common}/{den // common}"
-            for n in self.numerators
+            f"{n}/{den}"
+            if common == 1
+            else str(n // den)
+            if common == den
+            else f"{n // common}/{den // common}"
+            for n, common in zip(self.numerators, map(gcd, self.numerators, repeat(den)))
         )
 
     def __str__(self) -> str:
-        texts = self._texts()
+        numerators, texts = self.numerators, self._texts()
         bits = [next(texts)]
-        for d, (n, text) in enumerate(zip(self.numerators[1:], texts), 1):
+        if len(numerators) > 1:
+            n, text = numerators[1], next(texts)
             if n:
-                power = "q" if d == 1 else f"q^{d}"
-                bits.append(f"- {text[1:]} {power}" if n < 0 else f"+ {text} {power}")
+                bits.append(f"- {text[1:]} q" if n < 0 else f"+ {text} q")
+            bits += [
+                f"- {text[1:]} q^{d}" if n < 0 else f"+ {text} q^{d}"
+                for d, n, text in zip(range(2, len(numerators)), numerators[2:], texts)
+                if n
+            ]
         return " ".join(bits)
 
     def __repr__(self) -> str:
@@ -273,11 +287,14 @@ def eisenstein_series(g: int, D: int) -> QSeries:
     -(4g / B_2g) sigma_{2g-1}(d).  With sign(B_2g) = (-1)^(g+1) this is
     exactly 24 (-1)^g times the lambda_{g-1} coefficient of the projected
     degree-d tilde cycle.  With the lead -4g / B_2g = p/q in lowest terms,
-    the series is [q] + [p sigma_{2g-1}(d)] over q, all on int.
+    the series is [q] + [p sigma_{2g-1}(d)] over q, all on int.  D above
+    EISENSTEIN_ORDER_CAP is refused before any table is built.
     """
     g, D = as_int(g), as_int(D)
     if g < 2 or D < 0:
         raise ValueError(f"requires g >= 2 and D >= 0, got ({g}, {D})")
+    if D > EISENSTEIN_ORDER_CAP:
+        raise ValueError(f"Eisenstein order {D} exceeds cap {EISENSTEIN_ORDER_CAP}")
     lead = Fraction(-4 * g) / bernoulli(2 * g)
     p, q = lead.numerator, lead.denominator
     numerators = [q] + ([p * s for s in sigma_table(2 * g - 1, D)] if D else [])

@@ -5,10 +5,12 @@ its dispatch became table-driven; any change in rendering fails here.
 """
 
 import io
+import re
 import shlex
 
 import pytest
 
+from agtaut import cli
 from agtaut.cli import run
 
 # (arguments, text stdout, --json stdout)
@@ -124,3 +126,53 @@ def test_parser_reuse_carries_no_state_between_calls():
     assert invoke(["taut-nl", "--g", "2", "--delta", "2"]) == (0, "60 * L(1)\n", "")
     assert invoke(["taut-nl", "--g", "2", "--delta", "2", "--json"])[1].startswith("{")
     assert invoke(["taut-nl", "--g", "2", "--delta", "2"]) == (0, "60 * L(1)\n", "")
+
+
+# The usage errors of test_cli.py and a few more: each is reported by the
+# parser that reads the subcommand's arguments, or by the top-level one.
+USAGE_ERRORS = [
+    "",
+    "bogus",
+    "--help-me",
+    "taut-nl --g 2 --delta 2 --bogus",
+    "taut-nl --delta 2",
+    "taut-nl --g x --delta 2",
+    "taut-nl --g 2 --delta 2,7",
+    "taut-nl --g 2 --delta x",
+    "taut-nl --g 4 --delta 1,,2",
+    "taut-product --g 6 --u 3",
+    "ring-reduce --g 3 --indices ,",
+    "deg-phi --g 2 --delta 2 --route enumeration",
+    "deg-phi --g 2 --delta 2 --route bogus",
+    "gw-predict --g 2 --d 1 --i 2",
+    "gw-predict --g 2 --d 1 --integral 0.5",
+    "gw-predict --g 2 --d 1 --integral 1/0",
+    "diagnose --g 4 --delta 1,2",
+    "diagnose bogus --g 4 --delta 1,2",
+    "eisenstein --g 2 --order 100001",
+    "verify --suite nope",
+    "verify --all --suite x",
+    "verify --suite x --all",
+]
+
+DISPATCHED = [shlex.split(c) + j for c, _, _ in GOLDEN for j in ([], ["--json"])]
+DISPATCHED += [shlex.split(c) for c in USAGE_ERRORS] + [["verify", "--list"]]
+
+
+def _top_level_parse(argv):
+    return cli._parser()[0].parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", DISPATCHED, ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_subcommand_dispatch_matches_the_top_level_parser(argv, monkeypatch):
+    direct = invoke(argv)
+    if argv and argv[0] in cli._parser()[1]:
+        try:
+            expected = _top_level_parse(argv)
+        except cli.UsageError as exc:
+            with pytest.raises(cli.UsageError, match=f"^{re.escape(str(exc))}$"):
+                cli._parse(argv)
+        else:
+            assert cli._parse(argv) == expected
+    monkeypatch.setattr(cli, "_parse", _top_level_parse)
+    assert invoke(argv) == direct

@@ -7,8 +7,10 @@ import pytest
 
 import displayed_forms
 import symplectic_enumeration
+from agtaut import degrees
 from agtaut.cli import run
 from agtaut.degrees import (
+    PolarizationType,
     deg_phi,
     deg_phi_crt,
     deg_phi_special,
@@ -224,6 +226,31 @@ def test_deg_pi_values():
     assert deg_pi(2, (2, 2)) == 720
     for p in (2, 3, 5, 7):
         assert deg_pi(1, (p,)) == sp_order_prime(1, p)
+
+
+def _chains(top, length):
+    """Every divisibility chain of at most `length` entries, all <= top."""
+    chains = [(d,) for d in range(1, top + 1)]
+    for chain in chains:
+        if len(chain) < length:
+            chains += [chain + (m,) for m in range(chain[-1], top + 1, chain[-1])]
+    return chains
+
+
+def test_chain_correction_matches_displayed_form():
+    # every chain with entries <= 60 and length <= 4
+    chains = _chains(60, 4)
+    assert len(chains) == 2739
+    for chain in chains:
+        num, den = degrees._chain_correction(PolarizationType(chain))
+        assert den > 0 and Fraction(num, den) == displayed_forms.chain_correction(chain), chain
+
+
+def test_deg_pi_refuses_a_non_integral_value(monkeypatch):
+    # C(1, 2) = 1/5, so a deg_phi of 1 leaves deg_pi a fraction
+    monkeypatch.setattr(degrees, "deg_phi", lambda g, delta: 1)
+    with pytest.raises(AssertionError, match=r"deg_pi\(2, \(1,2\)\) is not an integer: 1/5"):
+        deg_pi(2, (1, 2))
 
 
 def test_deg_pi_is_kernel_symplectic_order():

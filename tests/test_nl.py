@@ -312,6 +312,34 @@ def test_eisenstein_matches_fraction_multiply_route():
             assert QSeries(expected) == series, (g, order)
 
 
+def test_qseries_text_matches_fraction_text():
+    # zero, negative and partly reducible coefficients at every position,
+    # the q term (d = 1) included
+    rng = random.Random(23)
+    for order in (0, 1, 2, 3, 40):
+        for _ in range(40):
+            den = rng.choice((1, 2, 6, 12, 691))
+            numerators = [rng.choice((0, rng.randint(-50, 50))) for _ in range(order + 1)]
+            coeffs = [Fraction(n, den) for n in numerators]
+            series = QSeries(coeffs)
+            assert str(series) == fraction_series_text(coeffs), coeffs
+            assert series.to_json_dict()["coeffs"] == [str(c) for c in coeffs], coeffs
+
+
+def test_eisenstein_order_cap():
+    from agtaut import arith
+
+    sieve = arith._sieve
+    for order in (nl.EISENSTEIN_ORDER_CAP + 1, 99999999999):
+        with pytest.raises(ValueError, match=f"exceeds cap {nl.EISENSTEIN_ORDER_CAP}"):
+            eisenstein_series(2, order)
+    # refused before the sigma table, or the sieve under it, is built
+    assert arith._sieve is sieve
+    series = eisenstein_series(2, nl.EISENSTEIN_ORDER_CAP)
+    assert series.order == nl.EISENSTEIN_ORDER_CAP
+    assert series.coefficient(nl.EISENSTEIN_ORDER_CAP) == 240 * sigma(3, nl.EISENSTEIN_ORDER_CAP)
+
+
 def test_qseries_keeps_the_least_common_denominator():
     series = QSeries([Fraction(1, 6), Fraction(-3, 4), 2, 0])
     assert (series.numerators, series.denominator) == ((2, -9, 24, 0), 12)
