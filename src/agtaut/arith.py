@@ -23,6 +23,9 @@ from typing import Callable, List, Tuple
 # a slow or probabilistic path.
 FACTORIZATION_CAP = 10**12
 
+# B_2062 has the longest Bernoulli numerator that str() prints (4,300 digits).
+BERNOULLI_INDEX_CAP = 2062
+
 RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/\d+)?")
 
 
@@ -156,10 +159,13 @@ def bernoulli(n: int) -> Fraction:
     Tangent and Secant numbers", 2011) as
     B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), all on int until the last
     division.  A non-int n is a TypeError; the cache is typed, so a float or
-    bool never reaches an int's entry or the tangent table.
+    bool never reaches an int's entry or the tangent table.  An n above
+    BERNOULLI_INDEX_CAP is a ValueError, raised before the tangent pass.
     """
     if as_int(n) < 0:
         raise ValueError(f"bernoulli requires n >= 0, got {n}")
+    if n > BERNOULLI_INDEX_CAP:
+        raise ValueError(f"Bernoulli index {n} exceeds cap {BERNOULLI_INDEX_CAP}")
     if n == 0:
         return Fraction(1)
     if n == 1:
@@ -174,13 +180,6 @@ def bernoulli(n: int) -> Fraction:
     four_m = 4**m
     value = Fraction(n * tangents[m - 1], four_m * (four_m - 1))
     return value if m % 2 else -value
-
-
-def clear_bernoulli_cache() -> None:
-    """Empty bernoulli's cache and the tangent table behind it."""
-    global _tangent_numbers
-    bernoulli.cache_clear()
-    _tangent_numbers = ()
 
 
 def _tangent_table(M: int) -> Tuple[int, ...]:
@@ -335,10 +334,10 @@ def mobius_table(N: int) -> List[int]:
 def clear_caches() -> None:
     """Empty every cache of this module: bernoulli's with its tangent table,
     sigma's, jacobi_totient's, factorize's and the kept sieve."""
-    global _sieve
-    clear_bernoulli_cache()
-    for cached in (sigma, jacobi_totient, factorize):
+    global _tangent_numbers, _sieve
+    for cached in (bernoulli, sigma, jacobi_totient, factorize):
         cached.cache_clear()
+    _tangent_numbers = ()
     _sieve = ([0], [0], [0])
 
 

@@ -42,15 +42,13 @@ and the NL constant C(delta) * deg_phi_{g-u}(delta) live here too.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Tuple, Union
 
 from .arith import as_int, factorize, is_prime, jacobi_totient
 
-# Enumeration cap of the genus-1 index oracle.  AGTAUT_ORACLE_CAP may lower
-# (or restore) it, but never exceeds it.
+# Enumeration cap of the genus-1 index oracle.
 ORACLE_INDEX_HARD_CAP = 8
 
 
@@ -304,13 +302,8 @@ def oracle_index(d: int) -> int:
     sum_s P(s) P(s - 1), where P(s) = #{(x, y) in (Z/N)^2 : x*y = s} is
     tabulated over all N^2 pairs; no group-order formula is used."""
     d = as_int(d)
-    raw = os.environ.get("AGTAUT_ORACLE_CAP")
-    try:
-        cap = ORACLE_INDEX_HARD_CAP if raw is None else min(int(raw), ORACLE_INDEX_HARD_CAP)
-    except ValueError as exc:
-        raise ValueError(f"AGTAUT_ORACLE_CAP must be an integer, got {raw!r}") from exc
-    if not 2 <= d <= cap:
-        raise ValueError(f"enumeration oracle requires 2 <= d <= {cap}, got {d}")
+    if not 2 <= d <= ORACLE_INDEX_HARD_CAP:
+        raise ValueError(f"enumeration oracle requires 2 <= d <= {ORACLE_INDEX_HARD_CAP}, got {d}")
     N = d * d
     products = [0] * N
     for x in range(N):

@@ -83,10 +83,11 @@ class _SparseTerms:
     """Sparse map from keys to nonzero Fraction coefficients, in genus g.
 
     Subclasses fix what a key is (_check_key) and how two elements
-    multiply (_multiply); the cleaning, addition, scaling and equality
-    shared by both ring representations live here.  The constructor is the
-    one place a ring coefficient becomes a Fraction; below it, normal forms
-    and products are computed on int wherever the inputs are int.
+    multiply (_multiply); the zero, cleaning, addition, scaling and
+    equality shared by both ring representations live here.  The
+    constructor is the one place a ring coefficient becomes a Fraction;
+    below it, normal forms and products are computed on int wherever the
+    inputs are int.
     """
 
     __slots__ = ("g", "terms")
@@ -106,11 +107,9 @@ class _SparseTerms:
                 clean[key] = coeff
         self.terms = clean
 
-    def _check_key(self, key: tuple) -> None:
-        raise NotImplementedError
-
-    def _multiply(self, other):
-        raise NotImplementedError
+    @classmethod
+    def zero(cls, g: int):
+        return cls(g, {})
 
     def _check_genus(self, other: "_SparseTerms") -> None:
         if self.g != other.g:
@@ -160,10 +159,6 @@ class LambdaPolynomial(_SparseTerms):
             raise ValueError(f"negative exponent in {exps}")
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, g: int) -> "LambdaPolynomial":
-        return cls(g, {})
 
     @classmethod
     def one(cls, g: int) -> "LambdaPolynomial":
@@ -220,18 +215,13 @@ def _weight(exps: ExponentVector) -> int:
 
 def total_chern(g: int) -> LambdaPolynomial:
     """1 + lambda_1 + ... + lambda_g."""
-    poly = LambdaPolynomial.one(g)
-    for i in range(1, g + 1):
-        poly = poly + LambdaPolynomial.generator(g, i)
-    return poly
+    return sum((LambdaPolynomial.generator(g, i) for i in range(1, g + 1)), LambdaPolynomial.one(g))
 
 
 def total_chern_dual(g: int) -> LambdaPolynomial:
-    """1 - lambda_1 + lambda_2 - ... + (-1)^g lambda_g."""
-    poly = LambdaPolynomial.one(g)
-    for i in range(1, g + 1):
-        poly = poly + (-1) ** i * LambdaPolynomial.generator(g, i)
-    return poly
+    """1 - lambda_1 + lambda_2 - ... + (-1)^g lambda_g: total_chern(g) with
+    lambda_i scaled by (-1)^i."""
+    return LambdaPolynomial(g, {exps: (-1) ** _weight(exps) for exps in total_chern(g).terms})
 
 
 def relation(k: int, g: int) -> LambdaPolynomial:
@@ -287,7 +277,9 @@ class _Rewrites(dict):
 @lru_cache(maxsize=None)
 def _rewrite_table(g: int):
     """The packed layout of genus g: the digit width w, the rewrites (see
-    _Rewrites), and the mask of every digit bit but the lowest.
+    _Rewrites), the mask of every digit bit but the lowest, and the socle
+    values of top-weight monomials in that layout, filled by
+    _pairing_values and shared by every degree of the genus.
 
     A swept monomial has weight at most g(g-1)/2, so no exponent exceeds
     that and w bits hold each; at least 2, so an exponent of 2 shows
@@ -296,7 +288,7 @@ def _rewrite_table(g: int):
     highest digit there.
     """
     w = max(2, top_degree(g).bit_length())
-    return w, _Rewrites(g, w), _pack(w, [(1 << w) - 2] * (g - 1))
+    return w, _Rewrites(g, w), _pack(w, [(1 << w) - 2] * (g - 1)), {}
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +308,7 @@ def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, in
     """
     if exps[g - 1] > 0 or _weight(exps) > top_degree(g):
         return ()
-    w, rules, high = _rewrite_table(g)
+    w, rules, high, _ = _rewrite_table(g)
     q = _q(exps)
     pending = {q: {_pack(w, exps): 1}}
     survivors = []
@@ -351,10 +343,6 @@ class TautClass(_SparseTerms):
             raise ValueError(f"indices {indices} not strictly increasing")
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, g: int) -> "TautClass":
-        return cls(g, {})
 
     @classmethod
     def one(cls, g: int) -> "TautClass":
@@ -416,16 +404,21 @@ class TautClass(_SparseTerms):
         return cls.from_json_dict(json.loads(text))
 
 
-def reduce(p: LambdaPolynomial) -> TautClass:
-    """Normal form of a polynomial in the square-free basis."""
+def _extend(g: int, terms: Iterable[tuple], normal_form) -> TautClass:
+    """A normal form of monomials extended linearly over (exps, coeff) pairs."""
     return TautClass(
-        p.g,
+        g,
         _collect(
             (indices, coeff * c)
-            for exps, coeff in p.terms.items()
-            for indices, c in _reduce_monomial(p.g, exps)
+            for exps, coeff in terms
+            for indices, c in normal_form(g, exps)
         ),
     )
+
+
+def reduce(p: LambdaPolynomial) -> TautClass:
+    """Normal form of a polynomial in the square-free basis."""
+    return _extend(p.g, p.terms.items(), _reduce_monomial)
 
 
 def _exponents(g: int, indices: Iterable[int]) -> ExponentVector:
@@ -440,24 +433,23 @@ def multiply(a: TautClass, b: TautClass) -> TautClass:
     """Ring product: multiply the polynomial lifts, then reduce."""
     a._check_genus(b)
     g = a.g
-    return TautClass(
-        g,
-        _collect(
-            (indices, cs * ct * c)
-            for s, cs in a.terms.items()
-            for t, ct in b.terms.items()
-            for indices, c in _reduce_monomial(g, _exponents(g, s + t))
-        ),
+    lifts = (
+        (_exponents(g, s + t), cs * ct)
+        for s, cs in a.terms.items()
+        for t, ct in b.terms.items()
     )
+    return _extend(g, lifts, _reduce_monomial)
 
 
 def top_degree(g: int) -> int:
     return g * (g - 1) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def graded_dimension(g: int, k: int) -> int:
-    """Number of subsets of {1, ..., g-1} with element sum k."""
+    """Number of subsets of {1, ..., g-1} with element sum k.  A non-int g
+    or k is a TypeError, and the cache is typed, as arith's are."""
+    g, k = as_int(g), as_int(k)
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     counts = [1] + [0] * k
@@ -491,9 +483,7 @@ def socle_pair(a: TautClass, b: TautClass) -> Fraction:
     Returns the coefficient of the full index set in the product; pairs of
     classes with non-complementary degrees automatically pair to 0.
     """
-    a._check_genus(b)
-    full = tuple(range(1, a.g))
-    return multiply(a, b).coefficient(full)
+    return multiply(a, b).coefficient(range(1, a.g))
 
 
 class PairingMatrix:
@@ -563,20 +553,9 @@ class PairingMatrix:
         }
 
 
-@lru_cache(maxsize=None)
-def _socle_table(g: int) -> dict:
-    """Socle values of top-weight monomials in genus g, packed in the
-    genus's layout (see _rewrite_table).
-
-    Filled by _pairing_values and shared by every degree of the genus;
-    cache_clear() drops it.
-    """
-    return {}
-
-
 def _pairing_values(g: int, rows, cols) -> List[List[int]]:
     """Socle values of lambda_S lambda_T, S in rows, T in cols, read from
-    _socle_table(g).
+    the genus's table (see _rewrite_table).
 
     The monomials not valued yet are valued in two passes.  The first, in
     increasing q, collects them and the rewrites they reach, stopping at
@@ -586,8 +565,7 @@ def _pairing_values(g: int, rows, cols) -> List[List[int]]:
     over the rewrites of its largest square, so lambda_{g-1}^2, which has
     none, gets 0.
     """
-    table = _socle_table(g)
-    w, rules, high = _rewrite_table(g)
+    w, rules, high, table = _rewrite_table(g)
 
     def packed(sets):
         vectors = [_exponents(g - 1, s) for s in sets]
@@ -622,11 +600,12 @@ def pairing_matrix(g: int, k: int) -> PairingMatrix:
     """Entries are read from the genus's table of socle values:
     <lambda_S, lambda_T> is the socle coefficient of lambda_S lambda_T,
     found by the rewrites of the normal form, each state valued once per
-    genus however many entries reach it."""
-    if not 0 <= k <= top_degree(g):
-        raise ValueError(f"degree k={k} outside [0, {top_degree(g)}]")
+    genus however many entries reach it.  g and k must be ints."""
+    g, k = as_int(g), as_int(k)
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
+    if not 0 <= k <= top_degree(g):
+        raise ValueError(f"degree k={k} outside [0, {top_degree(g)}]")
     rows = basis_sets(g, k)
     cols = basis_sets(g, top_degree(g) - k)
     values = _pairing_values(g, rows, cols)
@@ -727,22 +706,12 @@ def oracle_reduce(p: LambdaPolynomial) -> TautClass:
     g = p.g
     if g > ORACLE_GENUS_CAP:
         raise ValueError(f"oracle capped at genus {ORACLE_GENUS_CAP}, got {g}")
-    if p.is_zero():
-        return TautClass.zero(g)
     weights = p.weights()
-    if len(weights) != 1:
+    if len(weights) > 1:
         raise ValueError(f"oracle requires a homogeneous input, weights {weights}")
-    w = weights[0]
-    if w > top_degree(g):
-        raise ValueError(f"weight {w} exceeds the socle degree {top_degree(g)}")
-    return TautClass(
-        g,
-        _collect(
-            (indices, coeff * c)
-            for exps, coeff in p.terms.items()
-            for indices, c in _oracle_monomial(g, exps)
-        ),
-    )
+    if weights and weights[0] > top_degree(g):
+        raise ValueError(f"weight {weights[0]} exceeds the socle degree {top_degree(g)}")
+    return _extend(g, p.terms.items(), _oracle_monomial)
 
 
 def clear_caches() -> None:
@@ -752,7 +721,6 @@ def clear_caches() -> None:
         _reduce_monomial,
         graded_dimension,
         basis_sets,
-        _socle_table,
         monomials_of_weight,
         _fixed_points,
         _localized_pairing,

@@ -122,7 +122,7 @@ def test_tangent_table_matches_per_index_pass():
 
 
 def test_bernoulli_tangent_table_regrowth():
-    cold = arith.clear_bernoulli_cache
+    cold = arith.clear_caches
     cold()
     ascending = {n: bernoulli(n) for n in range(2, 401)}
     # the table holds exactly T_1..T_M for the largest m = n/2 asked
@@ -151,8 +151,20 @@ def test_bernoulli_rejects_negative():
         bernoulli(-1)
 
 
+def test_bernoulli_index_cap():
+    # B_6000 used to run a 26-s tangent pass and then fail on printing its
+    # numerator; a refused index never reaches the table.
+    assert arith.BERNOULLI_INDEX_CAP == 2062
+    bernoulli(10)
+    table = arith._tangent_numbers
+    for n in (arith.BERNOULLI_INDEX_CAP + 2, 6000):
+        with pytest.raises(ValueError, match=f"Bernoulli index {n} exceeds cap 2062"):
+            bernoulli(n)
+        assert arith._tangent_numbers is table
+
+
 def test_bernoulli_rejects_non_int():
-    arith.clear_bernoulli_cache()
+    arith.clear_caches()
     for n in (True, 3.0, 400.0, Fraction(4)):
         with pytest.raises(TypeError):
             bernoulli(n)

@@ -277,20 +277,6 @@ def test_oracle_index_cap():
         oracle_index(9)
 
 
-def test_oracle_cap_env_override(monkeypatch):
-    monkeypatch.setenv("AGTAUT_ORACLE_CAP", "3")
-    with pytest.raises(ValueError):
-        oracle_index(4)
-    assert oracle_index(3) == 24
-    # the hard limit cannot be exceeded from the environment
-    monkeypatch.setenv("AGTAUT_ORACLE_CAP", "99")
-    with pytest.raises(ValueError):
-        oracle_index(9)
-    monkeypatch.setenv("AGTAUT_ORACLE_CAP", "nonsense")
-    with pytest.raises(ValueError):
-        oracle_index(3)
-
-
 def test_every_degree_route_returns_a_positive_int():
     # deg_pi multiplies deg_phi by a rational chain correction, so for
     # deg_pi this is also an integrality check

@@ -181,6 +181,16 @@ def test_ring_classes_reject_a_non_int_genus():
             TautClass(g, {(): 1})
         with pytest.raises(TypeError):
             LambdaPolynomial(g, {})
+    # pairing_matrix(True, 0) used to build a matrix of genus True, and
+    # graded_dimension(True, 0) used to return 1.
+    for g, k in ((True, 0), (3.0, 0), (3, True), (3, 1.0)):
+        with pytest.raises(TypeError):
+            pairing_matrix(g, k)
+        with pytest.raises(TypeError):
+            graded_dimension(g, k)
+    # the genus is checked before the degree
+    with pytest.raises(ValueError, match="genus"):
+        pairing_matrix(0, 5)
 
 
 def test_lambda_polynomial_rejects_a_bool_exponent():
@@ -268,7 +278,7 @@ def test_pairing_matrix_equals_per_entry_normal_forms():
     degrees = [(g, k) for g in range(1, 12) for k in range(top_degree(g) + 1)]
     expected = {(g, k): _per_entry_pairing(g, k) for g, k in degrees}
     for scramble in (False, True):
-        ring._socle_table.cache_clear()
+        ring._rewrite_table.cache_clear()
         if scramble:
             random.Random(17).shuffle(degrees)
         for g, k in degrees:
@@ -326,6 +336,7 @@ def test_oracle_examples():
     product = total_chern(4) * total_chern_dual(4)
     part = LambdaPolynomial(4, {e: c for e, c in product.terms.items() if _weight(e) == 4})
     assert oracle_reduce(part).is_zero()
+    assert oracle_reduce(LambdaPolynomial.zero(4)) == TautClass.zero(4)
 
 
 def test_oracle_input_validation():
