@@ -9,7 +9,6 @@ All arithmetic is exact rational; there is no floating point anywhere.
 """
 
 from .arith import (
-    Factorization,
     abs_bernoulli,
     bernoulli,
     clear_caches as _clear_arith_caches,

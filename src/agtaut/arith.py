@@ -66,45 +66,9 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in coefficient {text!r}") from exc
 
 
-class Factorization:
-    """Prime factorization of a positive integer, primes strictly increasing."""
-
-    __slots__ = ("base", "factors")
-
-    def __init__(self, base: int, factors: Tuple[Tuple[int, int], ...]):
-        self.base = base
-        self.factors = factors
-
-    def primes(self) -> Tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def v(self, p: int) -> int:
-        """Exponent of the prime p in the factorization (0 if absent)."""
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def divisors(self) -> Tuple[int, ...]:
-        divs = [1]
-        for p, e in self.factors:
-            divs = [d * p**i for d in divs for i in range(e + 1)]
-        return tuple(sorted(divs))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Factorization)
-            and self.base == other.base
-            and self.factors == other.factors
-        )
-
-    def __repr__(self) -> str:
-        return f"Factorization({self.base}, {list(self.factors)})"
-
-
 @lru_cache(maxsize=None, typed=True)
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division.
+def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The pairs (p, e) with p^e || n, p strictly increasing, by trial division.
 
     Rejects a non-int n (TypeError), n < 1 and n > FACTORIZATION_CAP.  The
     cache is typed, so a float or bool never reaches an int's entry.  Cache
@@ -127,19 +91,22 @@ def factorize(n: int) -> Factorization:
         p = 3 if p == 2 else p + 2
     if rest > 1:
         factors.append((rest, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def is_prime(n: int) -> bool:
     """Whether n is prime; a non-int n is a TypeError."""
     if as_int(n) < 2:
         return False
-    f = factorize(n).factors
+    f = factorize(n)
     return len(f) == 1 and f[0][1] == 1
 
 
 def divisors(n: int) -> Tuple[int, ...]:
-    return factorize(n).divisors()
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return tuple(sorted(divs))
 
 
 # (T_1, ..., T_M) from the last Brent-Harvey pass (T_m at index m - 1), M
@@ -241,7 +208,7 @@ def sigma(k: int, n: int) -> int | Fraction:
         raise ValueError(f"sigma requires n >= 1, got {n}")
     if k < 0:
         return Fraction(sigma(-k, n), n ** -k)
-    return prod(_sigma_prime_power(k, p, e) for p, e in factorize(n).factors)
+    return prod(_sigma_prime_power(k, p, e) for p, e in factorize(n))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -254,7 +221,7 @@ def jacobi_totient(k: int, n: int) -> int:
     k, n = as_int(k), as_int(n)
     if n < 1 or k < 1:
         raise ValueError(f"jacobi_totient requires n >= 1 and k >= 1, got ({k}, {n})")
-    return prod(_jacobi_totient_prime_power(k, p, e) for p, e in factorize(n).factors)
+    return prod(_jacobi_totient_prime_power(k, p, e) for p, e in factorize(n))
 
 
 def mobius(n: int) -> int:
@@ -262,7 +229,7 @@ def mobius(n: int) -> int:
     A non-int n is a TypeError."""
     if as_int(n) < 1:
         raise ValueError(f"mobius requires n >= 1, got {n}")
-    return prod(_mobius_prime_power(p, e) for p, e in factorize(n).factors)
+    return prod(_mobius_prime_power(p, e) for p, e in factorize(n))
 
 
 # (prime, exponent, cofactor) over 0..M, M the largest N asked for.  A table

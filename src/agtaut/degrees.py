@@ -95,7 +95,7 @@ class PolarizationType:
 
     def p_part(self, p: int) -> "PolarizationType":
         """Entrywise p-power part; again a divisibility chain."""
-        return PolarizationType(p ** factorize(d).v(p) for d in self.entries)
+        return PolarizationType(p ** dict(factorize(d)).get(p, 0) for d in self.entries)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolarizationType) and self.entries == other.entries
@@ -134,7 +134,7 @@ def sp_order(g: int, N: int) -> int:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     order = 1
-    for p, k in factorize(N).factors:
+    for p, k in factorize(N):
         order *= p ** ((2 * g * g + g) * (k - 1)) * sp_order_prime(g, p)
     return order
 
@@ -171,14 +171,12 @@ def isotropic_tuple_count(g: int, h: int, p: int) -> int:
 # -- closed-form degrees ----------------------------------------------------
 
 
-def deg_phi_special(g: int, k: int, h: int, d: int) -> int:
-    """Degree for delta = (1^k, d^h): d^(h(2g+1)) prod_{p|d} prod_{i=g-h+1}^{g} (1 - p^(-2i))
+def deg_phi_special(g: int, h: int, d: int) -> int:
+    """Degree for delta = (1^(g-h), d^h): d^(h(2g+1)) prod_{p|d} prod_{i=g-h+1}^{g} (1 - p^(-2i))
     = prod_{i=g-h+1}^{g} d^(2g+1-2i) J_2i(d)."""
-    g, k, h, d = as_int(g), as_int(k), as_int(h), as_int(d)
-    if k + h != g:
-        raise ValueError(f"k + h must equal g, got {k} + {h} != {g}")
-    if k < 0 or h < 1 or d < 1:
-        raise ValueError(f"requires k >= 0, h >= 1 and d >= 1, got k={k}, h={h}, d={d}")
+    g, h, d = as_int(g), as_int(h), as_int(d)
+    if not 1 <= h <= g or d < 1:
+        raise ValueError(f"requires 1 <= h <= g and d >= 1, got g={g}, h={h}, d={d}")
     return math.prod(
         d ** (2 * g + 1 - 2 * i) * jacobi_totient(2 * i, d) for i in range(g - h + 1, g + 1)
     )
@@ -230,7 +228,7 @@ def deg_phi_stratified(g: int, delta, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     delta = PolarizationType(delta).padded(g)
-    exponents = tuple(factorize(d).v(p) for d in delta.entries)
+    exponents = tuple(dict(factorize(d)).get(p, 0) for d in delta.entries)
     if delta.product != p ** sum(exponents):
         raise ValueError(
             f"chain {delta} mixes primes; stratify one prime at a time "
@@ -248,8 +246,9 @@ def deg_phi_crt(g: int, delta) -> int:
     """Stratified degree for an arbitrary chain: product over its prime parts."""
     g = as_int(g)
     delta = PolarizationType(delta).padded(g)
-    primes = factorize(delta.product).primes()
-    return math.prod(deg_phi_stratified(g, delta.p_part(p), p) for p in primes)
+    return math.prod(
+        deg_phi_stratified(g, delta.p_part(p), p) for p, _ in factorize(delta.product)
+    )
 
 
 # -- degree of the level-forgetting cover -----------------------------------

@@ -24,12 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .arith import abs_bernoulli, as_rational, sigma
+from .arith import abs_bernoulli, as_int, as_rational, sigma
 
 
 def gw_tau1_lambda(g: int, d: int) -> Fraction:
     """Degree-d invariant with psi^1 against lambda_g lambda_{g-2}:
     |B_{2g-2}| / (24 (2g-2)!) * sigma_{2g-1}(d)."""
+    g, d = as_int(g), as_int(d)
     if g < 2 or d < 1:
         raise ValueError(f"requires g >= 2 and d >= 1, got ({g}, {d})")
     return abs_bernoulli(2 * g - 2) / (24 * factorial(2 * g - 2)) * sigma(2 * g - 1, d)
@@ -42,7 +43,7 @@ def triple_hodge_integral(g: int) -> Fraction:
     1/(2g-2) psi-insertion factor) and the printed invariant:
     |B_2g| |B_{2g-2}| / (4g (2g-2) (2g-2)!).
     """
-    if g < 2:
+    if as_int(g) < 2:
         raise ValueError(f"requires g >= 2, got {g}")
     return (
         abs_bernoulli(2 * g)
@@ -58,6 +59,7 @@ def conjecture_prediction(g: int, d: int, i: int, psi_lambda_integral) -> Fracti
     package computes it only in the lambda_g lambda_{g-2} case via
     triple_hodge_integral (the psi insertion contributes a factor 2g-2).
     """
+    g, d, i = as_int(g), as_int(d), as_int(i)
     if g < 2 or d < 1 or i < 0:
         raise ValueError(f"requires g >= 2, d >= 1, i >= 0, got ({g}, {d}, {i})")
     return (

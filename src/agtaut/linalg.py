@@ -82,15 +82,11 @@ def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     return m, pivots
 
 
-def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
-
-
 def is_nonsingular(rows: Matrix) -> bool:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    return rank(rows) == n
+    return len(rref(rows)[1]) == n
 
 
 def invert(rows: Matrix) -> Matrix:

@@ -26,7 +26,6 @@ anywhere in this module.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from itertools import repeat
@@ -142,19 +141,12 @@ class QSeries:
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coeffs": list(self._texts())}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSeries":
         series = cls([parse_rational(c) for c in as_list(data["coeffs"])])
         if series.order != as_int(data["order"]):
             raise ValueError("stored order does not match coefficient count")
         return series
-
-    @classmethod
-    def from_json(cls, text: str) -> "QSeries":
-        return cls.from_json_dict(json.loads(text))
 
 
 # -- product cycles and NL projections ------------------------------------

@@ -48,7 +48,6 @@ and falls back to exact elimination for a matrix that lacks it.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
@@ -165,11 +164,6 @@ class LambdaPolynomial(_SparseTerms):
         return cls(g, {(0,) * g: 1})
 
     @classmethod
-    def generator(cls, g: int, i: int) -> "LambdaPolynomial":
-        """lambda_i as a polynomial; requires 1 <= i <= g."""
-        return cls.monomial(g, (i,))
-
-    @classmethod
     def monomial(cls, g: int, indices: Iterable[int], coeff=1) -> "LambdaPolynomial":
         """Product of lambda_i over an index multiset (repeats allowed); an
         index that is not an int (a bool, a float) is a TypeError."""
@@ -215,7 +209,8 @@ def _weight(exps: ExponentVector) -> int:
 
 def total_chern(g: int) -> LambdaPolynomial:
     """1 + lambda_1 + ... + lambda_g."""
-    return sum((LambdaPolynomial.generator(g, i) for i in range(1, g + 1)), LambdaPolynomial.one(g))
+    generators = (LambdaPolynomial.monomial(g, (i,)) for i in range(1, g + 1))
+    return sum(generators, LambdaPolynomial.one(g))
 
 
 def total_chern_dual(g: int) -> LambdaPolynomial:
@@ -388,9 +383,6 @@ class TautClass(_SparseTerms):
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "TautClass":
         terms = {
@@ -398,10 +390,6 @@ class TautClass(_SparseTerms):
             for item in as_list(data["terms"])
         }
         return cls(as_int(data["g"]), terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TautClass":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _extend(g: int, terms: Iterable[tuple], normal_form) -> TautClass:

@@ -196,7 +196,7 @@ def check_isogeny_degrees() -> str:
             for h in range(1, g + 1):
                 _demand(
                     f"special vs general at g={g}, k={g - h}, h={h}, d={d}",
-                    degrees.deg_phi_special(g, g - h, h, d),
+                    degrees.deg_phi_special(g, h, d),
                     degrees.deg_phi(g, (1,) * (g - h) + (d,) * h),
                 )
     for g in range(1, 5):

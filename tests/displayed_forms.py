@@ -21,7 +21,7 @@ def chain_correction(entries):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             ratio = entries[j - 1] // entries[i - 1]
-            for p in factorize(ratio).primes():
+            for p, _ in factorize(ratio):
                 c *= (1 - Fraction(p) ** (-2 * (j - i))) / (1 - Fraction(p) ** (-2 * (j - i + 1)))
     return c
 
@@ -32,7 +32,7 @@ def nl_constant(g, entries):
     c = chain_correction(entries)
     c *= Fraction(math.prod(entries)) ** (2 * (g - u) + 1)
     for j in range(1, u + 1):
-        for p in factorize(entries[j - 1]).primes():
+        for p, _ in factorize(entries[j - 1]):
             c *= 1 - Fraction(p) ** (-2 * (j + g - 2 * u))
     return c
 
@@ -40,7 +40,7 @@ def nl_constant(g, entries):
 def nl_d_special_coeff(g, d):
     """(g d^(2g-1) / (6 |B_2g|)) prod_{p | d} (1 - p^(2-2g))."""
     coeff = Fraction(g) * Fraction(d) ** (2 * g - 1) / (6 * abs_bernoulli(2 * g))
-    for p in factorize(d).primes():
+    for p, _ in factorize(d):
         coeff *= 1 - Fraction(p) ** (2 - 2 * g)
     return coeff
 
@@ -54,11 +54,11 @@ def nl_pair_special_coeff(g, d1, d2):
         * Fraction(d2) ** (2 * g - 5)
         / (360 * abs_bernoulli(2 * g) * abs_bernoulli(2 * g - 2))
     )
-    for p in factorize(d1).primes():
+    for p, _ in factorize(d1):
         coeff *= 1 - Fraction(p) ** (6 - 2 * g)
-    for p in factorize(d2).primes():
+    for p, _ in factorize(d2):
         coeff *= 1 - Fraction(p) ** (4 - 2 * g)
-    for p in factorize(d2 // d1).primes():
+    for p, _ in factorize(d2 // d1):
         coeff *= (1 - Fraction(p) ** (-2)) / (1 - Fraction(p) ** (-4))
     return coeff
 
@@ -67,7 +67,7 @@ def deg_phi(g, entries):
     """d^(2g+1) prod_j prod_{p | d_j} (1 - p^(-2j)) for a chain of length g."""
     value = Fraction(math.prod(entries)) ** (2 * g + 1)
     for j, d_j in enumerate(entries, start=1):
-        for p in factorize(d_j).primes():
+        for p, _ in factorize(d_j):
             value *= 1 - Fraction(p) ** (-2 * j)
     return value
 
@@ -75,7 +75,7 @@ def deg_phi(g, entries):
 def deg_phi_special(g, h, d):
     """d^(h(2g+1)) prod_{p | d} prod_{i=g-h+1}^{g} (1 - p^(-2i))."""
     value = Fraction(d) ** (h * (2 * g + 1))
-    for p in factorize(d).primes():
+    for p, _ in factorize(d):
         for i in range(g - h + 1, g + 1):
             value *= 1 - Fraction(p) ** (-2 * i)
     return value

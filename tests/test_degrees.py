@@ -86,10 +86,9 @@ def test_isotropic_tuple_count_values():
         (isotropic_tuple_count, (2, True, 2)),
         (isotropic_tuple_count, (True, 1, 2)),
         (isotropic_tuple_count, (2, 1, 2.0)),
-        (deg_phi_special, (2, 1, 1, 2.0)),
-        (deg_phi_special, (2, True, 1, 2)),
-        (deg_phi_special, (2, 1, True, 2)),
-        (deg_phi_special, (True, 0, 1, 2)),
+        (deg_phi_special, (2, 1, 2.0)),
+        (deg_phi_special, (2, True, 2)),
+        (deg_phi_special, (True, 1, 2)),
         (deg_phi, (True, (2,))),
         (deg_phi_stratified, (True, (2,), 2)),
         (deg_phi_stratified, (1, (2,), 2.0)),
@@ -110,13 +109,11 @@ def test_integer_arguments_reject_bool_and_float(fn, args):
 
 
 def test_deg_phi_special_values():
-    assert deg_phi_special(1, 0, 1, 1) == 1
-    assert deg_phi_special(1, 0, 1, 2) == 6
-    assert deg_phi_special(2, 1, 1, 2) == 30
-    with pytest.raises(ValueError):
-        deg_phi_special(3, 1, 1, 2)  # k + h != g
-    with pytest.raises(ValueError, match="k >= 0"):
-        deg_phi_special(1, -1, 2, 1)
+    assert deg_phi_special(1, 1, 1) == 1
+    assert deg_phi_special(1, 1, 2) == 6
+    assert deg_phi_special(2, 1, 2) == 30
+    with pytest.raises(ValueError, match="1 <= h <= g"):
+        deg_phi_special(1, 2, 1)
 
 
 def test_deg_phi_values():
@@ -132,7 +129,7 @@ def test_deg_phi_special_equals_general():
         for d in range(1, 13):
             for h in range(1, g + 1):
                 delta = (1,) * (g - h) + (d,) * h
-                assert deg_phi_special(g, g - h, h, d) == deg_phi(g, delta)
+                assert deg_phi_special(g, h, d) == deg_phi(g, delta)
 
 
 def test_closed_forms_match_displayed_forms():
@@ -148,7 +145,7 @@ def test_closed_forms_match_displayed_forms():
         for h in range(1, g + 1):
             for d in range(1, 40):
                 expected = displayed_forms.deg_phi_special(g, h, d)
-                assert deg_phi_special(g, g - h, h, d) == expected, (g, h, d)
+                assert deg_phi_special(g, h, d) == expected, (g, h, d)
 
 
 # -- stratified route --------------------------------------------------------------
@@ -284,7 +281,7 @@ def test_every_degree_route_returns_a_positive_int():
     values = [deg_pi(2, chain) for chain in chains]
     values += [deg_phi(g, chain) for g in (2, 3) for chain in chains]
     values += [deg_phi_crt(g, chain) for g in (2, 3) for chain in chains]
-    values += [deg_phi_special(3, 3 - h, h, d) for h in (1, 2, 3) for d in range(1, 13)]
+    values += [deg_phi_special(3, h, d) for h in (1, 2, 3) for d in range(1, 13)]
     values += [deg_phi_stratified(3, (1, p, p * p), p) for p in (2, 3, 5)]
     values += [oracle_index(d) for d in range(2, 9)]
     for value in values:

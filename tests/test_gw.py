@@ -30,6 +30,25 @@ def test_conjecture_prediction():
         conjecture_prediction(2, 1, 1, 0.5)
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (conjecture_prediction, (2, 1, 1.5, 1)),
+        (conjecture_prediction, (2, 1, True, 1)),
+        (conjecture_prediction, (2.0, 1, 1, 1)),
+        (conjecture_prediction, (2, True, 1, 1)),
+        (gw_tau1_lambda, (True, 1)),
+        (gw_tau1_lambda, (2, 1.0)),
+        (triple_hodge_integral, (True,)),
+        (triple_hodge_integral, (2.0,)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_integer_arguments_reject_bool_and_float(fn, args):
+    with pytest.raises(TypeError, match="expected an int"):
+        fn(*args)
+
+
 def test_consistency_chain():
     for g in range(2, 11):
         supplied = (2 * g - 2) * triple_hodge_integral(g)

@@ -234,7 +234,7 @@ def test_plain_to_tilde_kernel_at_prime_powers():
     assert column[0] == 1
     for n in range(2, 101):
         expected = 1
-        for p, e in factorize(n).factors:
+        for p, e in factorize(n):
             expected *= at_prime_power(p, e)
         assert column[n - 1] == expected, n
     assert column[1] == -3 and column[3] == 2 and column[7] == 0 and column[8] == 3
@@ -308,7 +308,8 @@ def test_eisenstein_matches_fraction_multiply_route():
             assert str(series) == fraction_series_text(expected), (g, order)
             json_dict = {"order": order, "coeffs": [str(c) for c in expected]}
             assert series.to_json_dict() == json_dict, (g, order)
-            assert QSeries.from_json(series.to_json()) == series, (g, order)
+            text = json.dumps(series.to_json_dict(), sort_keys=True)
+            assert QSeries.from_json_dict(json.loads(text)) == series, (g, order)
             assert QSeries(expected) == series, (g, order)
 
 
@@ -363,7 +364,8 @@ def test_qseries_interface():
     assert str(series) == "1 + 1/2 q - 2 q^3"
     assert str(QSeries([1, Fraction(-1, 2), 0, 3])) == "1 - 1/2 q + 3 q^3"
     assert str(QSeries([-1, -1, Fraction(-7, 3)])) == "-1 - 1 q - 7/3 q^2"
-    assert QSeries.from_json(series.to_json()) == series
+    text = json.dumps(series.to_json_dict(), sort_keys=True)
+    assert QSeries.from_json_dict(json.loads(text)) == series
     with pytest.raises(ValueError):
         series.coefficient(4)
     # coefficient(True) used to return the q^1 coefficient.
@@ -405,20 +407,20 @@ def test_qseries_interface():
 )
 def test_qseries_json_rejects_non_schema_types(text):
     with pytest.raises(TypeError):
-        QSeries.from_json(text)
+        QSeries.from_json_dict(json.loads(text))
 
 
 def test_qseries_json_rejects_zero_denominator():
     with pytest.raises(ValueError):
-        QSeries.from_json('{"order": 1, "coeffs": ["1", "1/0"]}')
+        QSeries.from_json_dict(json.loads('{"order": 1, "coeffs": ["1", "1/0"]}'))
     with pytest.raises(ValueError):
-        QSeries.from_json('{"order": 2, "coeffs": ["1", "2"]}')
+        QSeries.from_json_dict(json.loads('{"order": 2, "coeffs": ["1", "2"]}'))
 
 
 @pytest.mark.parametrize("coeff", ["0.5", "1e3", " 1/2 ", "1/2 ", "1.0"])
 def test_qseries_json_rejects_text_outside_the_rational_grammar(coeff):
     with pytest.raises(ValueError, match="malformed rational"):
-        QSeries.from_json(json.dumps({"order": 1, "coeffs": ["1", coeff]}))
+        QSeries.from_json_dict({"order": 1, "coeffs": ["1", coeff]})
 
 
 # -- ring-level vanishing -------------------------------------------------------

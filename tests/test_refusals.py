@@ -20,6 +20,7 @@ REFUSALS = [
     (nl.eisenstein_series, (1, 5)),
     (nl.parse_expression, (4, "P(1,2)")),
     (nl.NLExpression, (1, [])),
+    (nl.NLExpression, (4, [(1, (("Q", (1,)),))])),
     (ring.TautClass, (0, {})),
     (ring.LambdaPolynomial, (3, {(1, 0): 1})),
     (ring.graded_dimension, (3, -1)),

@@ -146,9 +146,9 @@ def test_multiply_commutative_associative_random():
 
 def test_lambda_polynomial_rejects_bad_generators():
     with pytest.raises(ValueError):
-        LambdaPolynomial.generator(3, 4)
+        LambdaPolynomial.monomial(3, (4,))
     with pytest.raises(ValueError):
-        LambdaPolynomial.generator(3, 0)
+        LambdaPolynomial.monomial(3, (0,))
     with pytest.raises(ValueError):
         LambdaPolynomial.monomial(3, (5,))
 
@@ -545,7 +545,8 @@ def test_json_roundtrip():
     data = x.to_json_dict()
     assert data["g"] == 4
     assert {"indices": [1, 3], "coeff": "5/3"} in data["terms"]
-    assert TautClass.from_json(x.to_json()) == x
+    text = json.dumps(x.to_json_dict(), sort_keys=True)
+    assert TautClass.from_json_dict(json.loads(text)) == x
 
 
 @pytest.mark.parametrize(
@@ -581,16 +582,16 @@ def test_json_roundtrip():
 )
 def test_json_rejects_non_schema_types(text):
     with pytest.raises(TypeError):
-        TautClass.from_json(text)
+        TautClass.from_json_dict(json.loads(text))
 
 
 def test_json_rejects_zero_denominator():
     with pytest.raises(ValueError):
-        TautClass.from_json('{"g": 3, "terms": [{"indices": [2], "coeff": "1/0"}]}')
+        TautClass.from_json_dict(json.loads('{"g": 3, "terms": [{"indices": [2], "coeff": "1/0"}]}'))
 
 
 @pytest.mark.parametrize("coeff", ["0.5", "1e3", " 1/2 ", "1/2\n", "1.0"])
 def test_json_rejects_text_outside_the_rational_grammar(coeff):
     text = json.dumps({"g": 3, "terms": [{"indices": [2], "coeff": coeff}]})
     with pytest.raises(ValueError, match="malformed rational"):
-        TautClass.from_json(text)
+        TautClass.from_json_dict(json.loads(text))
