@@ -18,9 +18,16 @@ Two independent implementations of the normal form live here:
   after all of its parents, and terminates.  The sweep runs on packed
   monomials, in one layout per genus: one int holds every exponent in a
   digit wide enough for g(g-1)/2, a rewrite adds a constant to it, and
-  bit masks find the largest square.  Pairing matrices read socle values
-  from one table per genus, filled by the same rewrites, so a state that
-  many entries reach is valued once.
+  bit masks find the largest square.  Pending monomials wait in a list
+  indexed by level (q - q_0)/2, q_0 the input's q, grown as rewrites
+  reach deeper levels; q <= (g-1) * weight bounds its length.  Every
+  rewrite coefficient is +-2, so each square's rewrites are split into a
+  plus and a minus list and a monomial hands +-2 * coeff to its children.
+  A monomial that holds lambda_{g-1} skips the rewrites with
+  k + m = g - 1: their child holds lambda_{g-1}^2, and relation(g-1, g) is
+  lambda_{g-1}^2 alone, so that child is 0.  Pairing matrices read socle
+  values from one table per genus, filled by the same pruned rewrites, so
+  a state that many entries reach is valued once.
 
 * ``oracle_reduce``: localization and duality.  A socle integral is an
   Atiyah-Bott sum over the torus-fixed points of LG_{g-1} (see below and
@@ -238,7 +245,7 @@ def relation(k: int, g: int) -> LambdaPolynomial:
 
 
 def _q(exps: Iterable[int]) -> int:
-    """q = sum of i^2 e_i, the order in which the sweep pops monomials."""
+    """q = sum of i^2 e_i, the order in which the sweep expands monomials."""
     return sum(i * i * e for i, e in enumerate(exps, 1))
 
 
@@ -249,22 +256,38 @@ def _pack(w: int, exps: Iterable[int]) -> int:
 
 class _Rewrites(dict):
     """Rewrites of packed monomials in genus g, digit width w, read from
-    relation(k, g) the first time a square lambda_k^2 needs them.  Entry
-    k-1 lists (delta, dq, sign) per term of the relation other than
-    lambda_k^2: adding delta to a monomial with lambda_k^2 replaces that
-    square by the term's monomial, which raises q by dq, with coefficient
-    sign.
+    relation(k, g) the first time a square lambda_k^2 needs them.
+
+    Adding a term's delta to a monomial with lambda_k^2 replaces that
+    square by the term's lambda_{k-m} lambda_{k+m}, which raises q by 2m^2,
+    so the level (see _reduce_monomial) by step = m^2.  The coefficient is
+    +2 for odd m and -2 for even m.  Entry k-1 holds two triples (plus,
+    minus, reach): the (delta, step) pairs of each sign and the largest
+    step.  The first triple has every term, the second drops the terms
+    with k + m = g - 1, for monomials that already hold lambda_{g-1}.
+    Those terms' children hold lambda_{g-1}^2, which is relation(g-1, g)
+    and so 0; equivalently, lambda_{g-1} relation(k, g) = lambda_{g-1}
+    relation(k, g-1).
     """
 
     def __init__(self, g: int, w: int):
         self.g, self.w = g, w
 
     def __missing__(self, i: int) -> tuple:
-        w, square = self.w, _exponents(self.g, (i + 1, i + 1))
+        g, w = self.g, self.w
+        square = _exponents(g, (i + 1, i + 1))
+        every, pruned = ([], []), ([], [])
+        for exps, coeff in relation(i + 1, g).terms.items():
+            if exps == square:
+                continue
+            move = (_pack(w, exps) - _pack(w, square), (_q(exps) - _q(square)) // 2)
+            minus = coeff > 0  # lambda_k^2 is rewritten to -coeff times the term
+            every[minus].append(move)
+            if not exps[g - 2]:
+                pruned[minus].append(move)
         self[i] = tuple(
-            (_pack(w, exps) - _pack(w, square), _q(exps) - _q(square), -int(coeff))
-            for exps, coeff in relation(i + 1, self.g).terms.items()
-            if exps != square
+            (tuple(plus), tuple(minus), max((step for _, step in plus + minus), default=0))
+            for plus, minus in (every, pruned)
         )
         return self[i]
 
@@ -272,18 +295,20 @@ class _Rewrites(dict):
 @lru_cache(maxsize=None)
 def _rewrite_table(g: int):
     """The packed layout of genus g: the digit width w, the rewrites (see
-    _Rewrites), the mask of every digit bit but the lowest, and the socle
-    values of top-weight monomials in that layout, filled by
-    _pairing_values and shared by every degree of the genus.
+    _Rewrites), the mask of every digit bit but the lowest, the packed
+    lambda_{g-1}, and the socle values of top-weight monomials in that
+    layout, filled by _pairing_values and shared by every degree of the
+    genus.
 
     A swept monomial has weight at most g(g-1)/2, so no exponent exceeds
     that and w bits hold each; at least 2, so an exponent of 2 shows
     outside the lowest bit.  A monomial is square-free when it has no bit
     under the mask, and otherwise its largest squared index is that of the
-    highest digit there.
+    highest digit there.  Without lambda_g, a monomial holds lambda_{g-1}
+    exactly when it is at least the packed lambda_{g-1}.
     """
     w = max(2, top_degree(g).bit_length())
-    return w, _Rewrites(g, w), _pack(w, [(1 << w) - 2] * (g - 1)), {}
+    return w, _Rewrites(g, w), _pack(w, [(1 << w) - 2] * (g - 1)), 1 << w * max(g - 2, 0), {}
 
 
 @lru_cache(maxsize=None)
@@ -292,23 +317,28 @@ def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, in
 
     A monomial with lambda_g, or of weight above g(g-1)/2, is zero.  Any
     other is packed (see _rewrite_table) and swept forward in q (see _q).
-    Pending monomials wait in buckets keyed by q, and the buckets are
-    popped in increasing q, in steps of 2.  A popped monomial with a
-    squared factor is rewritten largest square index first, each rewrite
-    one int addition; rewriting lambda_k^2 to lambda_{k-m} lambda_{k+m}
-    raises q by 2m^2, so every parent of a monomial is popped before it.
-    Each monomial is thus expanded once, with its coefficient final, and
-    only the input is cached.  The sweep ends because q is bounded at fixed
-    weight; the square-free survivors are the normal form.
+    Pending monomials wait in a list of dicts indexed by level (q - q_0)/2,
+    q_0 the input's q, expanded in order.  The list grows to the deepest
+    level a rewrite reaches; every index is at most g-1, so q <= (g-1) *
+    weight and it never passes ((g-1) * weight - q_0)/2 + 1 levels.  A
+    monomial with a squared factor is rewritten largest square index
+    first, each rewrite one int addition that hands +2 * coeff (plus list)
+    or -2 * coeff (minus list) to the child; rewriting lambda_k^2 to
+    lambda_{k-m} lambda_{k+m} raises the level by m^2, so every parent of
+    a monomial is expanded before it.  A monomial that holds lambda_{g-1}
+    skips the rewrites with k + m = g - 1, whose children hold
+    lambda_{g-1}^2 = relation(g-1, g) and are 0 (see _Rewrites).  Each
+    monomial is thus expanded once, with its coefficient final, and only
+    the input is cached.  The square-free survivors are the normal form.
     """
     if exps[g - 1] > 0 or _weight(exps) > top_degree(g):
         return ()
-    w, rules, high, _ = _rewrite_table(g)
-    q = _q(exps)
-    pending = {q: {_pack(w, exps): 1}}
+    w, rules, high, last, _ = _rewrite_table(g)
+    levels = [{_pack(w, exps): 1}]
     survivors = []
-    while pending:
-        for mono, coeff in pending.pop(q, {}).items():
+    for level, pending in enumerate(levels):
+        levels[level] = None  # expanded: its states are needed no more
+        for mono, coeff in pending.items():
             if not coeff:
                 continue
             squares = mono & high
@@ -316,11 +346,18 @@ def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, in
                 indices = tuple(i + 1 for i in range(g - 1) if mono >> (w * i) & 1)
                 survivors.append((indices, coeff))
                 continue
-            for delta, dq, sign in rules[(squares.bit_length() - 1) // w]:
-                bucket = pending.setdefault(q + dq, {})
+            plus, minus, reach = rules[(squares.bit_length() - 1) // w][mono >= last]
+            if level + reach >= len(levels):
+                levels += [{} for _ in range(level + reach + 1 - len(levels))]
+            twice = 2 * coeff
+            for delta, step in plus:
+                children = levels[level + step]
                 child = mono + delta
-                bucket[child] = bucket.get(child, 0) + sign * coeff
-        q += 2
+                children[child] = children.get(child, 0) + twice
+            for delta, step in minus:
+                children = levels[level + step]
+                child = mono + delta
+                children[child] = children.get(child, 0) - twice
     return tuple(sorted(survivors))
 
 
@@ -448,21 +485,40 @@ def graded_dimension(g: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> Tuple[IndexTuple, ...]:
+    """Subsets of {1, ..., n} with element sum k, each increasing: those
+    of {1, ..., n-1}, then those with n.  Shared by every genus and degree.
+    Callers pass n <= k (or k = 0), so the recursion is at most k deep."""
+    if not 0 <= k <= n * (n + 1) // 2:
+        return ()
+    if k == 0:
+        return ((),)
+    with_n = _subsets(min(n - 1, k - n), k - n)
+    return _subsets(min(n - 1, k), k) + tuple(s + (n,) for s in with_n)
+
+
+@lru_cache(maxsize=None)
 def basis_sets(g: int, k: int) -> Tuple[IndexTuple, ...]:
-    """Degree-k basis index sets, sorted, for stable matrix layouts."""
-    found: List[IndexTuple] = []
+    """Degree-k basis index sets, sorted, for stable matrix layouts.  Above
+    half the socle degree they are the complements of the degree
+    g(g-1)/2 - k sets, so the enumeration stays shallow at either end."""
+    top = top_degree(g)
+    if 2 * k <= top:
+        return tuple(sorted(_subsets(min(g - 1, k), k)))
+    full = range(1, g)
+    complements = _subsets(min(g - 1, top - k), top - k)
+    return tuple(sorted(tuple(i for i in full if i not in s) for s in complements))
 
-    def build(start: int, remaining: int, acc: Tuple[int, ...]) -> None:
-        if remaining == 0:
-            found.append(acc)
-            return
-        for i in range(start, g):
-            if i > remaining:
-                break
-            build(i + 1, remaining - i, acc + (i,))
 
-    build(1, k, ())
-    return tuple(sorted(found))
+@lru_cache(maxsize=None)
+def _packed_basis(g: int, k: int) -> Tuple[Tuple[int, int], ...]:
+    """(packed int, q) of each degree-k basis set, in basis_sets order and
+    in genus g's layout (see _rewrite_table): _pack and _q of a square-free
+    monomial, read off its index set."""
+    w = _rewrite_table(g)[0]
+    return tuple(
+        (sum(1 << w * (i - 1) for i in s), sum(i * i for i in s)) for s in basis_sets(g, k)
+    )
 
 
 def socle_pair(a: TautClass, b: TautClass) -> Fraction:
@@ -505,17 +561,23 @@ class PairingMatrix:
         nonsingularity); False says nothing either way."""
         col_index = {t: j for j, t in enumerate(self.cols)}
         q = [sum(i * i for i in t) for t in self.cols]
+        # Columns by decreasing q: each row reads only those with q >= q(S^c).
+        by_q = sorted(range(len(q)), key=q.__getitem__, reverse=True)
         diagonal = set()
+        full = range(1, self.g)
         for s, row in zip(self.rows, self.entries):
-            j = col_index.get(tuple(i for i in range(1, self.g) if i not in s))
+            j = col_index.get(tuple(i for i in full if i not in s))
             # Distinct complement columns make S -> S^c a bijection onto the
             # columns, which the triangular reordering needs.
             if j is None or j in diagonal or row[j] != 1:
                 return False
             diagonal.add(j)
             bound = q[j]
-            if any(x and q[c] >= bound and c != j for c, x in enumerate(row)):
-                return False
+            for c in by_q:
+                if q[c] < bound:
+                    break
+                if row[c] and c != j:
+                    return False
         return True
 
     def is_nonsingular(self) -> bool:
@@ -541,46 +603,55 @@ class PairingMatrix:
         }
 
 
-def _pairing_values(g: int, rows, cols) -> List[List[int]]:
-    """Socle values of lambda_S lambda_T, S in rows, T in cols, read from
-    the genus's table (see _rewrite_table).
+def _pairing_values(g: int, k: int) -> List[List[int]]:
+    """Socle values of lambda_S lambda_T, S of degree k and T of the
+    complementary degree, read from the genus's table (see _rewrite_table)
+    over the packed basis sets (see _packed_basis).
 
-    The monomials not valued yet are valued in two passes.  The first, in
-    increasing q, collects them and the rewrites they reach, stopping at
-    valued ones.  The second, in decreasing q, values each after its
-    rewrites: a square-free monomial, which at top weight is the socle
-    monomial, gets 1; any other gets the sum of sign * value(mono + delta)
-    over the rewrites of its largest square, so lambda_{g-1}^2, which has
-    none, gets 0.
+    The monomials not valued yet are valued in two passes.  The first
+    collects them and the rewrites they reach, stopping at valued ones, in
+    a list of sets indexed by level (q - q_0)/2, q_0 the least q among
+    them, expanded in order and grown as in _reduce_monomial.  A monomial that holds
+    lambda_{g-1} takes the pruned rewrites, since a child with
+    lambda_{g-1}^2 is 0.  The second pass, in reverse, values each
+    monomial after its rewrites: a square-free one, which at top weight is
+    the socle monomial, gets 1; any other gets 2 * (sum of value(mono +
+    delta) over its plus list - the same over its minus list), so
+    lambda_{g-1}^2, which has no rewrites, gets 0.
     """
-    w, rules, high, table = _rewrite_table(g)
-
-    def packed(sets):
-        vectors = [_exponents(g - 1, s) for s in sets]
-        return [(_pack(w, exps), _q(exps)) for exps in vectors]
-
-    rows, cols = packed(rows), packed(cols)
-    pending: dict = {}
-    for r, qr in rows:
-        for c, qc in cols:
-            if r + c not in table:
-                pending.setdefault(qr + qc, set()).add(r + c)
-    order = []
-    q = min(pending, default=0)
-    while pending:
-        for mono in pending.pop(q, ()):
-            squares = mono & high
-            moves = rules[(squares.bit_length() - 1) // w] if squares else None
-            order.append((mono, moves))
-            for delta, dq, _ in moves or ():
-                if mono + delta not in table:
-                    pending.setdefault(q + dq, set()).add(mono + delta)
-        q += 2
-    for mono, moves in reversed(order):
-        if moves is None:
-            table[mono] = 1
-        else:
-            table[mono] = sum(sign * table[mono + delta] for delta, _, sign in moves)
+    w, rules, high, last, table = _rewrite_table(g)
+    rows, cols = _packed_basis(g, k), _packed_basis(g, top_degree(g) - k)
+    fresh = {r + c: qr + qc for r, qr in rows for c, qc in cols if r + c not in table}
+    if fresh:
+        q0 = min(fresh.values())
+        levels = [set() for _ in range((max(fresh.values()) - q0) // 2 + 1)]
+        for mono, q in fresh.items():
+            levels[(q - q0) // 2].add(mono)
+        order = []
+        for level, pending in enumerate(levels):
+            levels[level] = None  # collected: order holds its states now
+            for mono in pending:
+                squares = mono & high
+                if not squares:
+                    order.append((mono, None, None))
+                    continue
+                plus, minus, reach = rules[(squares.bit_length() - 1) // w][mono >= last]
+                if level + reach >= len(levels):
+                    levels += [set() for _ in range(level + reach + 1 - len(levels))]
+                order.append((mono, plus, minus))
+                for delta, step in chain(plus, minus):
+                    if mono + delta not in table:
+                        levels[level + step].add(mono + delta)
+        for mono, plus, minus in reversed(order):
+            if plus is None:
+                table[mono] = 1
+                continue
+            value = 0
+            for delta, _ in plus:
+                value += table[mono + delta]
+            for delta, _ in minus:
+                value -= table[mono + delta]
+            table[mono] = 2 * value
     return [[table[r + c] for c, _ in cols] for r, _ in rows]
 
 
@@ -594,14 +665,12 @@ def pairing_matrix(g: int, k: int) -> PairingMatrix:
         raise ValueError(f"genus must be >= 1, got {g}")
     if not 0 <= k <= top_degree(g):
         raise ValueError(f"degree k={k} outside [0, {top_degree(g)}]")
-    rows = basis_sets(g, k)
-    cols = basis_sets(g, top_degree(g) - k)
-    values = _pairing_values(g, rows, cols)
+    values = _pairing_values(g, k)
     # One Fraction per distinct value, shared by its entries: most are 0 or
     # +-1, so the matrices for g <= 11 hold 6,196 Fractions, not 41,696.
     shared = {x: Fraction(x) for x in set(chain.from_iterable(values))}
     entries = [[shared[x] for x in row] for row in values]
-    return PairingMatrix(g, k, rows, cols, entries)
+    return PairingMatrix(g, k, basis_sets(g, k), basis_sets(g, top_degree(g) - k), entries)
 
 
 @lru_cache(maxsize=None)
@@ -708,7 +777,9 @@ def clear_caches() -> None:
         _rewrite_table,
         _reduce_monomial,
         graded_dimension,
+        _subsets,
         basis_sets,
+        _packed_basis,
         monomials_of_weight,
         _fixed_points,
         _localized_pairing,

@@ -1,9 +1,12 @@
 """Out-of-range arguments refused with a ValueError: one case for each
 refusal that no other test reaches."""
 
+import io
+
 import pytest
 
 from agtaut import arith, degrees, gw, nl, ring
+from agtaut.cli import run
 
 REFUSALS = [
     (arith.sigma, (1, 0)),
@@ -33,3 +36,38 @@ REFUSALS = [
 def test_out_of_range_argument_is_refused(func, args):
     with pytest.raises(ValueError):
         func(*args)
+
+
+# Each cap on a value whose digits pass Python's 4300-digit limit for
+# turning an int into text, with the commands that reach it: at the cap the
+# value prints, one above it the command exits 1 naming the cap.
+DIGIT_CAPS = [
+    (nl.PRODUCT_U2_GENUS_CAP, 584, "u = 2 product cycle", ["taut-product", "--u", "2"]),
+    (nl.PRODUCT_U2_GENUS_CAP, 584, "u = 2 product cycle", ["taut-nl", "--delta", "1,1"]),
+    (gw.TAU1_LAMBDA_GENUS_CAP, 779, "psi-lambda invariant", ["gw-predict", "--d", "1"]),
+]
+
+
+@pytest.mark.parametrize("cap,value,name,argv", DIGIT_CAPS, ids=[c[3][0] for c in DIGIT_CAPS])
+def test_digit_limit_cap_is_the_last_printable_genus(cap, value, name, argv):
+    assert cap == value
+    refusal = f"error: {name} genus {cap + 1} exceeds cap {cap}\n"
+    for g, code, expected in ((cap, 0, ""), (cap + 1, 1, refusal)):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(argv + ["--g", str(g)], out=out, err=err) == code, g
+        assert err.getvalue() == expected and bool(out.getvalue()) == (code == 0), g
+
+
+def test_digit_limit_caps_refuse_before_computing(monkeypatch):
+    def no_bernoulli(n):
+        raise AssertionError(f"B_{n} computed")
+
+    monkeypatch.setattr(nl, "abs_bernoulli", no_bernoulli)
+    monkeypatch.setattr(gw, "abs_bernoulli", no_bernoulli)
+    for func, args in (
+        (nl.taut_product_cycle, (585, 2)),
+        (nl.parse_expression, (585, "P(2)")),
+        (gw.gw_tau1_lambda, (780, 1)),
+    ):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            func(*args)

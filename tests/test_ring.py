@@ -5,7 +5,9 @@ from math import factorial
 
 import pytest
 
+import bucket_sweep
 import ideal_slice_elimination
+import recursive_basis_sets
 import recursive_rewriting
 from agtaut import ring
 from agtaut.linalg import is_nonsingular
@@ -222,6 +224,35 @@ def test_graded_dimension_examples():
         assert graded_dimension(g, top_degree(g) + 1) == 0
     assert graded_dimension(5, 5) == 2  # {1,4}, {2,3}
     assert graded_dimension(6, 5) == 3  # {5}, {1,4}, {2,3}
+
+
+def test_basis_sets_match_depth_first_enumeration():
+    for g in range(1, 13):
+        for k in range(-1, top_degree(g) + 2):
+            assert basis_sets(g, k) == recursive_basis_sets.basis_sets(g, k), (g, k)
+
+
+def test_basis_sets_count_the_graded_dimension():
+    for g in range(1, 15):
+        for k in range(top_degree(g) + 1):
+            assert len(basis_sets(g, k)) == graded_dimension(g, k), (g, k)
+
+
+def test_basis_sets_stay_shallow_at_large_genus():
+    # Small degrees recurse only as deep as the degree, and degrees near the
+    # socle are complements of small ones, so neither end enumerates the
+    # 2^(g-1) subsets of {1, ..., g-1}.
+    ring._subsets.cache_clear()
+    basis_sets.cache_clear()
+    try:
+        assert basis_sets(60, 4) == ((1, 3), (4,))
+        assert ring._subsets.cache_info().currsize <= 25
+        top = top_degree(2000)
+        assert basis_sets(2000, top) == (tuple(range(1, 2000)),)
+        assert basis_sets(2000, top - 1) == (tuple(range(2, 2000)),)
+    finally:
+        ring._subsets.cache_clear()
+        basis_sets.cache_clear()
 
 
 def test_socle_pair_examples():
@@ -452,6 +483,37 @@ def test_sweep_matches_recursive_rewriting():
             _assert_matches_recursive_rewriting(g, _exponents(g, [1] * top_degree(g)))
     finally:
         recursive_rewriting._reduce_monomial.cache_clear()
+
+
+def _assert_matches_bucket_sweep(g, exps):
+    assert _reduce_monomial(g, exps) == bucket_sweep.reduce_monomial(g, exps), (g, exps)
+
+
+def test_sweep_matches_bucket_sweep():
+    # Exact comparison with the q-bucket sweep the level list replaced:
+    # every monomial up to two weights past the socle for g <= 7, every
+    # pairing monomial lambda_S lambda_T for g <= 9, lambda_1^top for
+    # g <= 14, and every lambda_{g-1} lambda_a^e lambda_b (e >= 2) up to the
+    # socle for g <= 10, whose sweeps take the rewrites pruned for
+    # monomials that hold lambda_{g-1}.
+    for g in range(1, 8):
+        for w in range(top_degree(g) + 3):
+            for exps in monomials_of_weight(g, w):
+                _assert_matches_bucket_sweep(g, exps)
+    for g in range(2, 10):
+        for k in range(top_degree(g) + 1):
+            for s in basis_sets(g, k):
+                for t in basis_sets(g, top_degree(g) - k):
+                    _assert_matches_bucket_sweep(g, _exponents(g, s + t))
+    for g in range(2, 15):
+        _assert_matches_bucket_sweep(g, _exponents(g, [1] * top_degree(g)))
+    for g in range(3, 11):
+        for a in range(1, g):
+            for b in range(1, g):
+                e = 2
+                while g - 1 + a * e + b <= top_degree(g):
+                    _assert_matches_bucket_sweep(g, _exponents(g, [g - 1, b] + [a] * e))
+                    e += 1
 
 
 def test_packed_digits_match_recursive_rewriting_at_width_boundaries():
