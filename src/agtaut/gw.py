@@ -26,21 +26,13 @@ from math import factorial
 
 from .arith import abs_bernoulli, as_int, as_rational, sigma
 
-# Largest genus of gw_tau1_lambda: above it the denominator of its value,
-# over (2g-2)!, has more than the 4300 digits Python turns into text, so the
-# value could not be printed.
-TAU1_LAMBDA_GENUS_CAP = 779
-
 
 def gw_tau1_lambda(g: int, d: int) -> Fraction:
     """Degree-d invariant with psi^1 against lambda_g lambda_{g-2}:
-    |B_{2g-2}| / (24 (2g-2)!) * sigma_{2g-1}(d).  A genus above
-    TAU1_LAMBDA_GENUS_CAP is refused."""
+    |B_{2g-2}| / (24 (2g-2)!) * sigma_{2g-1}(d)."""
     g, d = as_int(g), as_int(d)
     if g < 2 or d < 1:
         raise ValueError(f"requires g >= 2 and d >= 1, got ({g}, {d})")
-    if g > TAU1_LAMBDA_GENUS_CAP:
-        raise ValueError(f"psi-lambda invariant genus {g} exceeds cap {TAU1_LAMBDA_GENUS_CAP}")
     return abs_bernoulli(2 * g - 2) / (24 * factorial(2 * g - 2)) * sigma(2 * g - 1, d)
 
 

@@ -54,11 +54,6 @@ from .ring import LambdaPolynomial, TautClass, multiply, reduce
 # prime-power sieve under it, hold a list of order + 1 ints each.
 EISENSTEIN_ORDER_CAP = 10**5
 
-# Largest genus of the u = 2 product cycle: above it the denominator of its
-# coefficient, over |B_2g B_{2g-2}|, has more than the 4300 digits Python
-# turns into text, so the class could not be printed.
-PRODUCT_U2_GENUS_CAP = 584
-
 
 class QSeries:
     """Truncated power series in q with exact rational coefficients.
@@ -161,8 +156,7 @@ def taut_product_cycle(g: int, u: int) -> TautClass:
     """Projection of the product locus of u- and (g-u)-dimensional factors.
 
     Only u = 1 and u = 2 carry closed formulas; anything else is out of
-    scope and rejected, as is u = 2 above PRODUCT_U2_GENUS_CAP.  g and u
-    must be ints (a bool is a TypeError).
+    scope and rejected.  g and u must be ints (a bool is a TypeError).
     """
     g, u = as_int(g), as_int(u)
     if u < 1 or 2 * u > g:
@@ -171,8 +165,6 @@ def taut_product_cycle(g: int, u: int) -> TautClass:
         coeff = Fraction(g) / (6 * abs_bernoulli(2 * g))
         return TautClass.monomial(g, (g - 1,), coeff)
     if u == 2:
-        if g > PRODUCT_U2_GENUS_CAP:
-            raise ValueError(f"u = 2 product cycle genus {g} exceeds cap {PRODUCT_U2_GENUS_CAP}")
         coeff = Fraction(g * (g - 1)) / (
             360 * abs_bernoulli(2 * g) * abs_bernoulli(2 * g - 2)
         )

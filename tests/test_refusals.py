@@ -2,6 +2,9 @@
 refusal that no other test reaches."""
 
 import io
+import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +30,8 @@ REFUSALS = [
     (ring.TautClass, (0, {})),
     (ring.LambdaPolynomial, (3, {(1, 0): 1})),
     (ring.graded_dimension, (3, -1)),
+    (ring.graded_dimension, (-5, 0)),
+    (ring.basis_sets, (-3, 0)),
 ]
 
 
@@ -38,36 +43,47 @@ def test_out_of_range_argument_is_refused(func, args):
         func(*args)
 
 
-# Each cap on a value whose digits pass Python's 4300-digit limit for
-# turning an int into text, with the commands that reach it: at the cap the
-# value prints, one above it the command exits 1 naming the cap.
-DIGIT_CAPS = [
-    (nl.PRODUCT_U2_GENUS_CAP, 584, "u = 2 product cycle", ["taut-product", "--u", "2"]),
-    (nl.PRODUCT_U2_GENUS_CAP, 584, "u = 2 product cycle", ["taut-nl", "--delta", "1,1"]),
-    (gw.TAU1_LAMBDA_GENUS_CAP, 779, "psi-lambda invariant", ["gw-predict", "--d", "1"]),
+# Values whose text passes Python's limit on int digits: no cap of the
+# program refuses them, so str() inside cli.run does, with Python's message
+# and nothing on stdout.  With the limit lifted they print, and equal their
+# second routes.
+DIGIT_LIMIT_ARGVS = [
+    ["taut-product", "--g", "585", "--u", "2"],
+    ["taut-nl", "--g", "585", "--delta", "1,1"],
+    ["taut-nl", "--g", "584", "--delta", "1000,1000000"],
+    ["gw-predict", "--g", "780", "--d", "1"],
+    ["gw-predict", "--g", "300", "--d", "1000000"],
 ]
 
 
-@pytest.mark.parametrize("cap,value,name,argv", DIGIT_CAPS, ids=[c[3][0] for c in DIGIT_CAPS])
-def test_digit_limit_cap_is_the_last_printable_genus(cap, value, name, argv):
-    assert cap == value
-    refusal = f"error: {name} genus {cap + 1} exceeds cap {cap}\n"
-    for g, code, expected in ((cap, 0, ""), (cap + 1, 1, refusal)):
+def _run_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv + ["--json"], out=out, err=err) == 0, err.getvalue()
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("argv", DIGIT_LIMIT_ARGVS, ids=" ".join)
+def test_value_past_the_digit_limit_exits_with_pythons_message(argv):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
         out, err = io.StringIO(), io.StringIO()
-        assert run(argv + ["--g", str(g)], out=out, err=err) == code, g
-        assert err.getvalue() == expected and bool(out.getvalue()) == (code == 0), g
+        assert run(argv, out=out, err=err) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.getvalue().startswith("error: Exceeds the limit (4300 digits)")
+    assert out.getvalue() == ""
 
 
-def test_digit_limit_caps_refuse_before_computing(monkeypatch):
-    def no_bernoulli(n):
-        raise AssertionError(f"B_{n} computed")
-
-    monkeypatch.setattr(nl, "abs_bernoulli", no_bernoulli)
-    monkeypatch.setattr(gw, "abs_bernoulli", no_bernoulli)
-    for func, args in (
-        (nl.taut_product_cycle, (585, 2)),
-        (nl.parse_expression, (585, "P(2)")),
-        (gw.gw_tau1_lambda, (780, 1)),
-    ):
-        with pytest.raises(ValueError, match="exceeds cap"):
-            func(*args)
+def test_values_past_the_digit_limit_print_with_the_limit_lifted():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        pair = nl.taut_nl_pair_special(585, 1, 1)
+        for argv in DIGIT_LIMIT_ARGVS[:2]:
+            assert ring.TautClass.from_json_dict(_run_json(argv)) == pair, argv
+        value = gw.gw_tau1_lambda(780, 1)
+        assert value == gw.conjecture_prediction(780, 1, 1, 1558 * gw.triple_hodge_integral(780))
+        assert Fraction(_run_json(DIGIT_LIMIT_ARGVS[3])["value"]) == value
+    finally:
+        sys.set_int_max_str_digits(limit)

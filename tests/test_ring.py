@@ -279,6 +279,18 @@ def test_pairing_matrix_examples():
         PairingMatrix(3, 1, ((1,),), ((2,),), [[1, 0]])  # entries not square
 
 
+def test_pairing_matrix_genus_cap(monkeypatch):
+    assert ring.PAIRING_GENUS_CAP == 15
+    assert pairing_matrix(15, 0).entries == [[Fraction(1)]]
+
+    def no_values(g, k):
+        raise AssertionError(f"pairing values computed at g={g}, k={k}")
+
+    monkeypatch.setattr(ring, "_pairing_values", no_values)
+    with pytest.raises(ValueError, match="pairing matrix genus 16 exceeds cap 15"):
+        pairing_matrix(16, 60)
+
+
 def test_pairing_entries_equal_socle_pair():
     # pairing_matrix reads entries from the per-genus table of socle values;
     # socle_pair goes through TautClass products and normal forms.  Both
