@@ -205,7 +205,9 @@ def taut_nl_pair_special(g: int, d1: int, d2: int) -> TautClass:
         * prod_{p | r} (1 - p^(-2)) / (1 - p^(-4))      (r = d2 / d1)
     = g (g-1) d1^3 d2 J_{2g-6}(d1) J_{2g-4}(d2) J_2(r)
         / (360 |B_2g B_{2g-2}| J_4(r))  times lambda_{g-3} lambda_{g-1}.
+    g, d1 and d2 must be ints (a bool is a TypeError).
     """
+    g, d1, d2 = as_int(g), as_int(d1), as_int(d2)
     if g < 4:
         raise ValueError(f"pair projection requires g >= 4, got {g}")
     if d2 < 1:
@@ -325,22 +327,25 @@ class NLExpression:
 
     Terms are (coefficient, symbols) with one or two symbols each, every
     symbol in its normal form (an NL chain as a tuple, lambda indices
-    sorted).  Each symbol is projected once, here, and projections[i]
-    holds the classes of terms[i]'s symbols, so an invalid or out-of-scope
-    symbol is refused when the expression is built, even as a factor of a
-    product that projects to 0.  Products of three or more symbols are
+    sorted).  Each term is projected once, here: classes[i] is terms[i]'s
+    coefficient times its symbol's projection, or times the ring product of
+    its two symbols' projections (the projection is a homomorphism, and the
+    ring computes an NL x NL product's 0: lambda_{g-1}^2 = relation(g-1, g)).
+    So an invalid or out-of-scope symbol is refused here, even as a factor
+    of a product that projects to 0.  Products of three or more symbols are
     rejected: only pairwise vanishing of NL-supported cycles is proved, and
-    the API stays honest about it.
+    the API stays honest about it.  g must be an int.
     """
 
-    __slots__ = ("g", "terms", "projections")
+    __slots__ = ("g", "terms", "classes")
 
     def __init__(self, g: int, terms: Sequence[Tuple[Fraction, Tuple[Symbol, ...]]]):
+        g = as_int(g)
         if g < 2:
             raise ValueError(f"genus must be >= 2, got {g}")
         self.g = g
         clean: List[Tuple[Fraction, Tuple[Symbol, ...]]] = []
-        projections: List[Tuple[TautClass, ...]] = []
+        classes: List[TautClass] = []
         for coeff, symbols in terms:
             symbols = tuple(symbols)
             if not 1 <= len(symbols) <= 2:
@@ -348,11 +353,12 @@ class NLExpression:
                     f"terms must have one or two symbols, got {len(symbols)} "
                     f"(products of three or more symbols are rejected)"
                 )
-            normal, classes = zip(*(_symbol(g, kind, args) for kind, args in symbols))
-            clean.append((as_rational(coeff), normal))
-            projections.append(classes)
+            normal, factors = zip(*(_symbol(g, kind, args) for kind, args in symbols))
+            coeff = as_rational(coeff)
+            clean.append((coeff, normal))
+            classes.append(coeff * (multiply(*factors) if len(factors) == 2 else factors[0]))
         self.terms = tuple(clean)
-        self.projections = tuple(projections)
+        self.classes = tuple(classes)
 
     def __repr__(self) -> str:
         return f"NLExpression(g={self.g}, terms={list(self.terms)})"
@@ -365,6 +371,8 @@ def parse_expression(g: int, text: str) -> NLExpression:
     'a/b *' followed by a symbol, with at most a single '*' between two
     symbols.  Symbols: NL(d1,d2,...), NLt(d), P(u), L(i,j,...); L() is the
     monomial 1, and an empty item in a nonempty argument list is an error.
+    NLExpression refuses a term with no symbol or more than two, and
+    projects a product to the ring product of its factors' projections.
     """
     terms = []
     for chunk in text.split("+"):
@@ -376,11 +384,6 @@ def parse_expression(g: int, text: str) -> NLExpression:
         if RATIONAL_PATTERN.fullmatch(pieces[0]):
             coeff = parse_rational(pieces[0])
             pieces = pieces[1:]
-        if not 1 <= len(pieces) <= 2:
-            raise ValueError(
-                f"term {chunk!r} must contain one or two symbols "
-                f"(a single '*' between two symbols)"
-            )
         symbols = []
         for piece in pieces:
             match = _TOKEN_SYMBOL.match(piece)
@@ -397,17 +400,9 @@ def parse_expression(g: int, text: str) -> NLExpression:
 
 
 def taut_projection(expression: NLExpression) -> TautClass:
-    """Linear extension of the projection over an expression, combining the
-    symbol projections made when the expression was built.
-
-    A single symbol gives its class; a product of two NL-supported symbols
-    projects to 0; a lambda monomial multiplies through the projection of
-    its partner in the ring.
+    """Linear extension of the projection over an expression: the sum of
+    the term classes made when the expression was built.  A product
+    projects to the ring product of its factors' projections, so the ring,
+    not this function, computes the zero of an NL x NL product.
     """
-    result = TautClass.zero(expression.g)
-    for (coeff, symbols), classes in zip(expression.terms, expression.projections):
-        if len(classes) == 1:
-            result = result + coeff * classes[0]
-        elif any(kind == "L" for kind, _ in symbols):
-            result = result + coeff * multiply(*classes)
-    return result
+    return sum(expression.classes, TautClass.zero(expression.g))

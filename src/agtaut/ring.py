@@ -238,7 +238,10 @@ def relation(k: int, g: int) -> LambdaPolynomial:
 
         lambda_k^2 - 2 sum_{m=1}^{min(k, g-1-k)} (-1)^(m+1)
                          lambda_{k-m} lambda_{k+m}.
+
+    k and g must be ints (a bool is a TypeError).
     """
+    k, g = as_int(k), as_int(g)
     if not 1 <= k <= g - 1:
         raise ValueError(f"relation index k={k} out of range [1, {g - 1}]")
     terms = {_exponents(g, (k, k)): 1}
@@ -503,13 +506,17 @@ def _subsets(n: int, k: int) -> Tuple[IndexTuple, ...]:
     return _subsets(min(n - 1, k), k) + tuple(s + (n,) for s in with_n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def basis_sets(g: int, k: int) -> Tuple[IndexTuple, ...]:
     """Degree-k basis index sets, sorted, for stable matrix layouts.  Above
     half the socle degree they are the complements of the degree
-    g(g-1)/2 - k sets, so the enumeration stays shallow at either end."""
+    g(g-1)/2 - k sets, so the enumeration stays shallow at either end.  g
+    and k are checked as graded_dimension checks them."""
+    g, k = as_int(g), as_int(k)
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
+    if k < 0:
+        raise ValueError(f"degree must be >= 0, got {k}")
     top = top_degree(g)
     if 2 * k <= top:
         return tuple(sorted(_subsets(min(g - 1, k), k)))

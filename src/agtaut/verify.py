@@ -284,15 +284,6 @@ def check_projection_calculus() -> str:
                     nl.taut_projection(expr),
                     ring.TautClass.zero(g),
                 )
-                product = ring.multiply(
-                    nl.taut_projection(nl.NLExpression(g, [(Fraction(1), (s1,))])),
-                    nl.taut_projection(nl.NLExpression(g, [(Fraction(1), (s2,))])),
-                )
-                _demand(
-                    f"product of projections {s1}, {s2} at g={g}",
-                    product,
-                    ring.TautClass.zero(g),
-                )
         lam = ring.TautClass.monomial(g, (g - 1,))
         for d in range(1, 7):
             _demand(

@@ -44,8 +44,8 @@ CRITERIA = [
     #    printed invariant for 2 <= g <= 10, d <= 50; the g = 2 integral is 1/5760
     ("gw-consistency", 7,
      "predictor chain closes exactly for 2<=g<=10, d<=50"),
-    # 8. projections of pairwise NL products vanish, as do products of the
-    #    individual projections, for g <= 8
+    # 8. projections of pairwise NL products, each the ring product of the
+    #    individual projections, vanish for g <= 8
     ("projection-calculus", 8,
      "pairwise products and products of projections vanish (g<=8)"),
     # 9. tilde/plain basis transforms are exact inverses up to D = 100

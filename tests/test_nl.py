@@ -449,8 +449,9 @@ def test_parse_expression_forms():
 
 
 def test_parse_expression_errors():
-    with pytest.raises(ValueError):
-        parse_expression(2, "NL(2) * NL(2) * NL(2)")
+    for text in ("NL(2) * NL(2) * NL(2)", "3 * NL(2) * NL(2) * NL(2)", "1/2"):
+        with pytest.raises(ValueError, match="one or two symbols"):
+            parse_expression(2, text)
     with pytest.raises(ValueError):
         parse_expression(2, "Q(2)")
     with pytest.raises(ValueError):
@@ -529,6 +530,16 @@ def test_library_entry_points_reject_bool_arguments():
         taut_nl_tilde(4, True)
     with pytest.raises(TypeError):
         LambdaPolynomial.monomial(4, (True,))
+    # taut_nl_pair_special(4, 1, 1.5) used to say "requires d1 | d2", and
+    # NLExpression(2.5, []) built an expression of genus 2.5.
+    for args in ((True, 1, 1), (4, True, 1), (4, 1, 1.5), (4.0, 1, 1)):
+        with pytest.raises(TypeError):
+            taut_nl_pair_special(*args)
+    for g in (2.5, True, 4.0):
+        with pytest.raises(TypeError):
+            NLExpression(g, [])
+        with pytest.raises(TypeError):
+            parse_expression(g, "NL(2)")
 
 
 def test_taut_projection_product_is_symmetric():
@@ -536,6 +547,15 @@ def test_taut_projection_product_is_symmetric():
     nl_first = taut_projection(parse_expression(4, "NL(2) * L(1)"))
     assert not lam_first.is_zero()
     assert lam_first == nl_first == multiply(taut(4, (1,)), taut_nl(4, (2,)))
+
+
+def test_product_projects_to_the_ring_product(monkeypatch):
+    # With a tilde projection that is not NL-supported, the product's
+    # projection is computed in the ring, not assumed 0: lambda_1^2 =
+    # 2 lambda_2 at g = 4, so 2 L(1) times 3 L(1) is 12 L(2).
+    monkeypatch.setattr(nl, "taut_nl_tilde", lambda g, d: TautClass.monomial(g, (1,), d))
+    product = taut_projection(parse_expression(4, "NLt(2) * NLt(3)"))
+    assert product == multiply(taut(4, (1,), 2), taut(4, (1,), 3)) == taut(4, (2,), 12)
 
 
 def test_homomorphism_property_on_nl_pairs():

@@ -32,6 +32,7 @@ REFUSALS = [
     (ring.graded_dimension, (3, -1)),
     (ring.graded_dimension, (-5, 0)),
     (ring.basis_sets, (-3, 0)),
+    (ring.basis_sets, (3, -1)),
 ]
 
 

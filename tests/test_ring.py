@@ -190,6 +190,15 @@ def test_ring_classes_reject_a_non_int_genus():
             pairing_matrix(g, k)
         with pytest.raises(TypeError):
             graded_dimension(g, k)
+    # basis_sets(3.0, 1) and basis_sets(2, True) used to return ((1,),),
+    # relation(True, 3) the k = 1 relation, and relation(1.0, 3) failed
+    # while indexing a list.
+    for g, k in ((3.0, 1), (2, True), (True, 1), (3, 1.0)):
+        with pytest.raises(TypeError):
+            basis_sets(g, k)
+    for k, g in ((True, 3), (1.0, 3), (1, True), (1, 3.0)):
+        with pytest.raises(TypeError):
+            relation(k, g)
     # the genus is checked before the degree
     with pytest.raises(ValueError, match="genus"):
         pairing_matrix(0, 5)
@@ -227,8 +236,10 @@ def test_graded_dimension_examples():
 
 
 def test_basis_sets_match_depth_first_enumeration():
+    # a negative degree is refused (test_refusals.py); one above the socle
+    # degree has no basis sets
     for g in range(1, 13):
-        for k in range(-1, top_degree(g) + 2):
+        for k in range(top_degree(g) + 2):
             assert basis_sets(g, k) == recursive_basis_sets.basis_sets(g, k), (g, k)
 
 
