@@ -18,16 +18,18 @@ Two independent implementations of the normal form live here:
   after all of its parents, and terminates.  The sweep runs on packed
   monomials, in one layout per genus: one int holds every exponent in a
   digit wide enough for g(g-1)/2, a rewrite adds a constant to it, and
-  bit masks find the largest square.  Pending monomials wait in a list
-  indexed by level (q - q_0)/2, q_0 the input's q, grown as rewrites
-  reach deeper levels; q <= (g-1) * weight bounds its length.  Every
-  rewrite coefficient is +-2, so each square's rewrites are split into a
-  plus and a minus list and a monomial hands +-2 * coeff to its children.
+  the bit length of the masked squares indexes a list of the largest
+  square's rewrites.  Pending monomials wait in a list indexed by level
+  (q - q_0)/2, q_0 the input's q, grown as rewrites reach deeper levels;
+  q <= (g-1) * weight bounds its length.  Every rewrite coefficient is
+  +-2, so each square's rewrites are split into a plus and a minus list
+  and a monomial hands +-2 * coeff to its children.
   A monomial that holds lambda_{g-1} skips the rewrites with
   k + m = g - 1: their child holds lambda_{g-1}^2, and relation(g-1, g) is
   lambda_{g-1}^2 alone, so that child is 0.  Pairing matrices read socle
   values from one table per genus, filled by the same pruned rewrites, so
-  a state that many entries reach is valued once.
+  a state that many entries reach is valued once; their entries are the
+  int socle values themselves.
 
 * ``oracle_reduce``: localization and duality.  A socle integral is an
   Atiyah-Bott sum over the torus-fixed points of LG_{g-1} (see below and
@@ -261,14 +263,15 @@ def _pack(w: int, exps: Iterable[int]) -> int:
     return sum(e << (w * i) for i, e in enumerate(exps))
 
 
-class _Rewrites(dict):
-    """Rewrites of packed monomials in genus g, digit width w, read from
-    relation(k, g) the first time a square lambda_k^2 needs them.
+def _read_rewrites(g: int, w: int, rules: list, squares: int) -> tuple:
+    """Rewrites of the largest square lambda_k^2 in squares (see
+    _rewrite_table), read from relation(k, g) and stored in rules at every
+    bit length that square's digit can give, so it is read once.
 
     Adding a term's delta to a monomial with lambda_k^2 replaces that
     square by the term's lambda_{k-m} lambda_{k+m}, which raises q by 2m^2,
     so the level (see _reduce_monomial) by step = m^2.  The coefficient is
-    +2 for odd m and -2 for even m.  Entry k-1 holds two triples (plus,
+    +2 for odd m and -2 for even m.  The entry holds two triples (plus,
     minus, reach): the (delta, step) pairs of each sign and the largest
     step.  The first triple has every term, the second drops the terms
     with k + m = g - 1, for monomials that already hold lambda_{g-1}.
@@ -276,46 +279,46 @@ class _Rewrites(dict):
     and so 0; equivalently, lambda_{g-1} relation(k, g) = lambda_{g-1}
     relation(k, g-1).
     """
-
-    def __init__(self, g: int, w: int):
-        self.g, self.w = g, w
-
-    def __missing__(self, i: int) -> tuple:
-        g, w = self.g, self.w
-        square = _exponents(g, (i + 1, i + 1))
-        every, pruned = ([], []), ([], [])
-        for exps, coeff in relation(i + 1, g).terms.items():
-            if exps == square:
-                continue
-            move = (_pack(w, exps) - _pack(w, square), (_q(exps) - _q(square)) // 2)
-            minus = coeff > 0  # lambda_k^2 is rewritten to -coeff times the term
-            every[minus].append(move)
-            if not exps[g - 2]:
-                pruned[minus].append(move)
-        self[i] = tuple(
-            (tuple(plus), tuple(minus), max((step for _, step in plus + minus), default=0))
-            for plus, minus in (every, pruned)
-        )
-        return self[i]
+    i = (squares.bit_length() - 1) // w
+    square = _exponents(g, (i + 1, i + 1))
+    every, pruned = ([], []), ([], [])
+    for exps, coeff in relation(i + 1, g).terms.items():
+        if exps == square:
+            continue
+        move = (_pack(w, exps) - _pack(w, square), (_q(exps) - _q(square)) // 2)
+        minus = coeff > 0  # lambda_k^2 is rewritten to -coeff times the term
+        every[minus].append(move)
+        if not exps[g - 2]:
+            pruned[minus].append(move)
+    entry = tuple(
+        (tuple(plus), tuple(minus), max((step for _, step in plus + minus), default=0))
+        for plus, minus in (every, pruned)
+    )
+    # Digit i's bits above its lowest are bits w*i + 1 .. w*i + w - 1.
+    rules[w * i + 2 : w * i + w + 1] = [entry] * (w - 1)
+    return entry
 
 
 @lru_cache(maxsize=None)
 def _rewrite_table(g: int):
-    """The packed layout of genus g: the digit width w, the rewrites (see
-    _Rewrites), the mask of every digit bit but the lowest, the packed
-    lambda_{g-1}, and the socle values of top-weight monomials in that
-    layout, filled by _pairing_values and shared by every degree of the
-    genus.
+    """The packed layout of genus g: the digit width w, the rewrites, the
+    mask of every digit bit but the lowest, the packed lambda_{g-1}, and
+    the socle values of top-weight monomials in that layout, filled by
+    _pairing_values and shared by every degree of the genus.
 
     A swept monomial has weight at most g(g-1)/2, so no exponent exceeds
     that and w bits hold each; at least 2, so an exponent of 2 shows
     outside the lowest bit.  A monomial is square-free when it has no bit
     under the mask, and otherwise its largest squared index is that of the
-    highest digit there.  Without lambda_g, a monomial holds lambda_{g-1}
-    exactly when it is at least the packed lambda_{g-1}.
+    highest digit there, so the bit length of the masked monomial names
+    it.  The rewrites are a list indexed by that bit length, None until
+    _read_rewrites fills the square's entry the first time a sweep meets
+    it.  Without lambda_g, a monomial holds lambda_{g-1} exactly when it
+    is at least the packed lambda_{g-1}.
     """
     w = max(2, top_degree(g).bit_length())
-    return w, _Rewrites(g, w), _pack(w, [(1 << w) - 2] * (g - 1)), 1 << w * max(g - 2, 0), {}
+    rules = [None] * (w * (g - 1) + 1)
+    return w, rules, _pack(w, [(1 << w) - 2] * (g - 1)), 1 << w * max(g - 2, 0), {}
 
 
 @lru_cache(maxsize=None)
@@ -327,16 +330,20 @@ def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, in
     Pending monomials wait in a list of dicts indexed by level (q - q_0)/2,
     q_0 the input's q, expanded in order.  The list grows to the deepest
     level a rewrite reaches; every index is at most g-1, so q <= (g-1) *
-    weight and it never passes ((g-1) * weight - q_0)/2 + 1 levels.  A
-    monomial with a squared factor is rewritten largest square index
-    first, each rewrite one int addition that hands +2 * coeff (plus list)
-    or -2 * coeff (minus list) to the child; rewriting lambda_k^2 to
-    lambda_{k-m} lambda_{k+m} raises the level by m^2, so every parent of
-    a monomial is expanded before it.  A monomial that holds lambda_{g-1}
-    skips the rewrites with k + m = g - 1, whose children hold
-    lambda_{g-1}^2 = relation(g-1, g) and are 0 (see _Rewrites).  Each
-    monomial is thus expanded once, with its coefficient final, and only
-    the input is cached.  The square-free survivors are the normal form.
+    weight and it never passes ((g-1) * weight - q_0)/2 + 1 levels.  It is
+    not sized to that bound up front: a monomial with few or no rewrites,
+    such as the square-free lambda_1 ... lambda_{g-1}, would pay for
+    O(g^3) empty levels.  A monomial with a squared factor is rewritten
+    largest square index first, its rewrites found at the bit length of
+    its masked squares, each rewrite one int addition that hands
+    +2 * coeff (plus list) or -2 * coeff (minus list) to the child;
+    rewriting lambda_k^2 to lambda_{k-m} lambda_{k+m} raises the level by
+    m^2, so every parent of a monomial is expanded before it.  A monomial
+    that holds lambda_{g-1} skips the rewrites with k + m = g - 1, whose
+    children hold lambda_{g-1}^2 = relation(g-1, g) and are 0 (see
+    _read_rewrites).  Each monomial is thus expanded once, with its
+    coefficient final, and only the input is cached.  The square-free
+    survivors are the normal form.
     """
     if exps[g - 1] > 0 or _weight(exps) > top_degree(g):
         return ()
@@ -353,7 +360,8 @@ def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, in
                 indices = tuple(i + 1 for i in range(g - 1) if mono >> (w * i) & 1)
                 survivors.append((indices, coeff))
                 continue
-            plus, minus, reach = rules[(squares.bit_length() - 1) // w][mono >= last]
+            rule = rules[squares.bit_length()] or _read_rewrites(g, w, rules, squares)
+            plus, minus, reach = rule[mono >= last]
             if level + reach >= len(levels):
                 levels += [{} for _ in range(level + reach + 1 - len(levels))]
             twice = 2 * coeff
@@ -549,14 +557,15 @@ class PairingMatrix:
     """Socle pairing between complementary graded pieces.
 
     Rows are the degree-k basis sets S, columns the degree top-k sets T,
-    and the entry is <lambda_S, lambda_T>.  ``is_certified`` proves the
-    matrix nonsingular without arithmetic: with q(T) = sum of i^2 over T
-    and S^c the complement of S in {1, ..., g-1}, every row S must hold
-    exactly 1 at column S^c and be zero at every other column T with
-    q(T) >= q(S^c).  Columns re-indexed by complement and ordered by
-    decreasing q then form a unitriangular matrix, so the determinant is
-    +-1.  ``is_nonsingular`` tries that certificate first and falls back to
-    exact elimination only when it fails.
+    and the entry is <lambda_S, lambda_T>, an int in the matrices that
+    pairing_matrix builds.  ``is_certified`` proves the matrix nonsingular
+    without arithmetic: with q(T) = sum of i^2 over T and S^c the
+    complement of S in {1, ..., g-1}, every row S must hold exactly 1 at
+    column S^c and be zero at every other column T with q(T) >= q(S^c).
+    Columns re-indexed by complement and ordered by decreasing q then form
+    a unitriangular matrix, so the determinant is +-1.  ``is_nonsingular``
+    tries that certificate first and falls back to exact elimination only
+    when it fails.
     """
 
     __slots__ = ("g", "k", "rows", "cols", "entries")
@@ -650,7 +659,8 @@ def _pairing_values(g: int, k: int) -> List[List[int]]:
                 if not squares:
                     order.append((mono, None, None))
                     continue
-                plus, minus, reach = rules[(squares.bit_length() - 1) // w][mono >= last]
+                rule = rules[squares.bit_length()] or _read_rewrites(g, w, rules, squares)
+                plus, minus, reach = rule[mono >= last]
                 if level + reach >= len(levels):
                     levels += [set() for _ in range(level + reach + 1 - len(levels))]
                 order.append((mono, plus, minus))
@@ -671,7 +681,7 @@ def _pairing_values(g: int, k: int) -> List[List[int]]:
 
 
 def pairing_matrix(g: int, k: int) -> PairingMatrix:
-    """Entries are read from the genus's table of socle values:
+    """Entries are ints read from the genus's table of socle values:
     <lambda_S, lambda_T> is the socle coefficient of lambda_S lambda_T,
     found by the rewrites of the normal form, each state valued once per
     genus however many entries reach it.  g and k must be ints, and a
@@ -683,12 +693,9 @@ def pairing_matrix(g: int, k: int) -> PairingMatrix:
         raise ValueError(f"degree k={k} outside [0, {top_degree(g)}]")
     if g > PAIRING_GENUS_CAP:
         raise ValueError(f"pairing matrix genus {g} exceeds cap {PAIRING_GENUS_CAP}")
-    values = _pairing_values(g, k)
-    # One Fraction per distinct value, shared by its entries: most are 0 or
-    # +-1, so the matrices for g <= 11 hold 6,196 Fractions, not 41,696.
-    shared = {x: Fraction(x) for x in set(chain.from_iterable(values))}
-    entries = [[shared[x] for x in row] for row in values]
-    return PairingMatrix(g, k, basis_sets(g, k), basis_sets(g, top_degree(g) - k), entries)
+    return PairingMatrix(
+        g, k, basis_sets(g, k), basis_sets(g, top_degree(g) - k), _pairing_values(g, k)
+    )
 
 
 @lru_cache(maxsize=None)

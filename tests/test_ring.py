@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -305,13 +306,13 @@ def test_pairing_matrix_genus_cap(monkeypatch):
 def test_pairing_entries_equal_socle_pair():
     # pairing_matrix reads entries from the per-genus table of socle values;
     # socle_pair goes through TautClass products and normal forms.  Both
-    # must give the same Fraction.
+    # must give the same value, an int in the matrix.
     for g in range(1, 8):
         for k in range(top_degree(g) + 1):
             m = pairing_matrix(g, k)
             for s, row in zip(m.rows, m.entries):
                 for t, x in zip(m.cols, row):
-                    assert type(x) is Fraction, (g, k, s, t)
+                    assert type(x) is int, (g, k, s, t)
                     assert x == socle_pair(taut(g, s), taut(g, t)), (g, k, s, t)
 
 
@@ -456,10 +457,11 @@ def test_normal_forms_run_on_int_and_surface_as_fraction():
         for w in range(top_degree(g) + 3):
             for exps in monomials_of_weight(g, w):
                 assert all(type(c) is int for _, c in _reduce_monomial(g, exps)), (g, exps)
+    entries = [x for row in pairing_matrix(4, 3).entries for x in row]
+    assert entries and all(type(x) is int for x in entries)
     values = list(reduce(mono(4, (1, 1, 1))).terms.values())
     values += multiply(taut(4, (1,)), taut(4, (1, 2))).terms.values()
     values += [socle_pair(taut(4, (1, 2)), taut(4, (3,)))]
-    values += [x for row in pairing_matrix(4, 3).entries for x in row]
     assert values and all(type(c) is Fraction for c in values)
 
 
@@ -516,9 +518,12 @@ def test_sweep_matches_bucket_sweep():
     # Exact comparison with the q-bucket sweep the level list replaced:
     # every monomial up to two weights past the socle for g <= 7, every
     # pairing monomial lambda_S lambda_T for g <= 9, lambda_1^top for
-    # g <= 14, and every lambda_{g-1} lambda_a^e lambda_b (e >= 2) up to the
+    # g <= 14, every lambda_{g-1} lambda_a^e lambda_b (e >= 2) up to the
     # socle for g <= 10, whose sweeps take the rewrites pruned for
-    # monomials that hold lambda_{g-1}.
+    # monomials that hold lambda_{g-1}, and at g = 8, for every k,
+    # lambda_k^2 lambda_7 (lambda_7^2 for k = 7) and lambda_k^(28 // k),
+    # whose masked squares have the least and the largest bit length of
+    # digit k-1 that a swept monomial reaches.
     for g in range(1, 8):
         for w in range(top_degree(g) + 3):
             for exps in monomials_of_weight(g, w):
@@ -537,6 +542,53 @@ def test_sweep_matches_bucket_sweep():
                 while g - 1 + a * e + b <= top_degree(g):
                     _assert_matches_bucket_sweep(g, _exponents(g, [g - 1, b] + [a] * e))
                     e += 1
+    g = 8
+    for k in range(1, g):
+        _assert_matches_bucket_sweep(g, _exponents(g, (k, k) if k == g - 1 else (k, k, g - 1)))
+        _assert_matches_bucket_sweep(g, _exponents(g, [k] * (top_degree(g) // k)))
+
+
+def test_rewrites_are_found_at_either_end_of_a_digit():
+    # The rewrites of lambda_k^2 sit in a list indexed by the bit length of
+    # a monomial's masked squares, which ranges over digit k-1's bits from
+    # exponent 2 up to the largest exponent a swept monomial of top weight
+    # can hold.  At g = 8, for every k, the entry that a cold sweep of
+    # lambda_k^2 lambda_7 (lambda_7^2 for k = 7) stores must also be the one
+    # read at the bit length of lambda_k^(top // k).
+    g = 8
+    top = top_degree(g)
+    try:
+        for k in range(1, g):
+            ring._rewrite_table.cache_clear()
+            _reduce_monomial.cache_clear()
+            low = _exponents(g, (k, k) if k == g - 1 else (k, k, g - 1))
+            high = _exponents(g, [k] * (top // k))
+            _reduce_monomial(g, low)
+            w, rules, mask = ring._rewrite_table(g)[:3]
+            bits = [(ring._pack(w, exps) & mask).bit_length() for exps in (low, high)]
+            assert w * (k - 1) + 2 == bits[0] <= bits[1] <= w * k, (k, bits)
+            assert rules[bits[0]] is rules[bits[1]] is not None, k
+    finally:
+        ring._rewrite_table.cache_clear()
+        _reduce_monomial.cache_clear()
+
+
+def test_square_free_monomial_sweeps_without_a_level_per_bound():
+    # lambda_1 ... lambda_{g-1} is already in normal form.  Its sweep must
+    # cost memory for the states it meets, not for the
+    # ((g-1) * weight - q_0)/2 + 1 levels that bound the list: at g = 200
+    # that bound is 656,701 levels, about 45 MB as empty dicts.
+    g = 200
+    exps = _exponents(g, range(1, g))
+    _reduce_monomial.cache_clear()
+    tracemalloc.start()
+    try:
+        assert _reduce_monomial(g, exps) == ((tuple(range(1, g)), 1),)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _reduce_monomial.cache_clear()
+    assert peak < 1 << 20, peak
 
 
 def test_packed_digits_match_recursive_rewriting_at_width_boundaries():
