@@ -6,9 +6,9 @@ convolution.  The multiplicative functions come one value at a time
 (cached) or as a table over a whole range 1..N, and the convolution takes
 two such tables and returns a third; clear_caches() empties every cache
 and table the module keeps.  Integral quantities are Python ``int``s
-(sigma_k for k >= 0, Jacobi totients, Moebius values); genuinely rational
-ones (Bernoulli numbers, sigma_k for k < 0) are ``fractions.Fraction``s.
-No floating point is used anywhere in the package.
+(sigma_k for k >= 0, Jacobi totients, Moebius values); the Bernoulli
+numbers are the module's only ``fractions.Fraction``s.  No floating point
+is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -196,19 +196,18 @@ def _mobius_prime_power(p: int, e: int) -> int:
 
 
 @lru_cache(maxsize=None, typed=True)
-def sigma(k: int, n: int) -> int | Fraction:
-    """Divisor power sum sigma_k(n) = sum_{m | n} m^k, exact for any integer k.
+def sigma(k: int, n: int) -> int:
+    """Divisor power sum sigma_k(n) = sum_{m | n} m^k for k >= 0, as
+    sigma_table gives it.
 
-    An int for k >= 0, from the multiplicative closed form
-    prod_{p^e || n} (p^(k(e+1)) - 1) / (p^k - 1); for k < 0 the Fraction
-    sigma_{-k}(n) / n^(-k).  A non-int k or n is a TypeError; the cache is
-    typed, so a float or bool never reaches an int's entry.
+    An int, from the multiplicative closed form
+    prod_{p^e || n} (p^(k(e+1)) - 1) / (p^k - 1).  A non-int k or n is a
+    TypeError, and k < 0 or n < 1 a ValueError; the cache is typed, so a
+    float or bool never reaches an int's entry.
     """
     k, n = as_int(k), as_int(n)
-    if n < 1:
-        raise ValueError(f"sigma requires n >= 1, got {n}")
-    if k < 0:
-        return Fraction(sigma(-k, n), n ** -k)
+    if n < 1 or k < 0:
+        raise ValueError(f"sigma requires n >= 1 and k >= 0, got ({k}, {n})")
     return prod(_sigma_prime_power(k, p, e) for p, e in factorize(n))
 
 

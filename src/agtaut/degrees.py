@@ -90,7 +90,7 @@ class PolarizationType:
     def padded(self, length: int) -> "PolarizationType":
         """Left-pad with 1 entries up to the given length."""
         if self.u > length:
-            raise ValueError(f"type {self.entries} longer than {length}")
+            raise ValueError(f"type {self} longer than {length}")
         return PolarizationType((1,) * (length - self.u) + self.entries)
 
     def p_part(self, p: int) -> "PolarizationType":

@@ -36,7 +36,6 @@ from .arith import (
     RATIONAL_PATTERN,
     abs_bernoulli,
     as_int,
-    as_list,
     as_rational,
     bernoulli,
     dirichlet_convolve,
@@ -141,13 +140,6 @@ class QSeries:
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coeffs": list(self._texts())}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QSeries":
-        series = cls([parse_rational(c) for c in as_list(data["coeffs"])])
-        if series.order != as_int(data["order"]):
-            raise ValueError("stored order does not match coefficient count")
-        return series
-
 
 # -- product cycles and NL projections ------------------------------------
 
@@ -235,8 +227,6 @@ def _divisor_matrix(kernel: List[int]) -> List[List[int]]:
 def tilde_to_plain(D: int) -> List[List[int]]:
     """Each tilde cycle as a divisor sum of plain cycles, d in [1, D]:
     kernel sigma_1.  Unit diagonal, lower triangular, int entries."""
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
     return _divisor_matrix(sigma_table(1, D))
 
 

@@ -64,7 +64,7 @@ from math import lcm, prod
 from operator import add
 from typing import Iterable, List, Tuple
 
-from .arith import as_int, as_list, as_rational, parse_rational
+from .arith import as_int, as_rational
 from .linalg import is_nonsingular
 
 # The oracle sums over 2^(g-1) fixed points for every pairing it solves.
@@ -435,14 +435,6 @@ class TautClass(_SparseTerms):
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TautClass":
-        terms = {
-            tuple(map(as_int, as_list(item["indices"]))): parse_rational(item["coeff"])
-            for item in as_list(data["terms"])
-        }
-        return cls(as_int(data["g"]), terms)
-
 
 def _extend(g: int, terms: Iterable[tuple], normal_form) -> TautClass:
     """A normal form of monomials extended linearly over (exps, coeff) pairs."""
@@ -485,15 +477,22 @@ def top_degree(g: int) -> int:
     return g * (g - 1) // 2
 
 
-@lru_cache(maxsize=None, typed=True)
-def graded_dimension(g: int, k: int) -> int:
-    """Number of subsets of {1, ..., g-1} with element sum k.  A non-int g
-    or k is a TypeError, and the cache is typed, as arith's are."""
+def _genus_and_degree(g: int, k: int) -> Tuple[int, int]:
+    """(g, k) once checked: a non-int is a TypeError, g < 1 or k < 0 a
+    ValueError."""
     g, k = as_int(g), as_int(k)
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
+    return g, k
+
+
+@lru_cache(maxsize=None, typed=True)
+def graded_dimension(g: int, k: int) -> int:
+    """Number of subsets of {1, ..., g-1} with element sum k.  g and k are
+    checked by _genus_and_degree, and the cache is typed, as arith's are."""
+    g, k = _genus_and_degree(g, k)
     counts = [1] + [0] * k
     for i in range(1, g):
         for s in range(k, i - 1, -1):
@@ -520,11 +519,7 @@ def basis_sets(g: int, k: int) -> Tuple[IndexTuple, ...]:
     half the socle degree they are the complements of the degree
     g(g-1)/2 - k sets, so the enumeration stays shallow at either end.  g
     and k are checked as graded_dimension checks them."""
-    g, k = as_int(g), as_int(k)
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
+    g, k = _genus_and_degree(g, k)
     top = top_degree(g)
     if 2 * k <= top:
         return tuple(sorted(_subsets(min(g - 1, k), k)))
@@ -698,9 +693,11 @@ def pairing_matrix(g: int, k: int) -> PairingMatrix:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def monomials_of_weight(g: int, w: int) -> Tuple[ExponentVector, ...]:
-    """All exponent vectors in g variables of weight w (lambda_i weighs i)."""
+    """All exponent vectors in g variables of weight w (lambda_i weighs i).
+    g and w are checked as graded_dimension checks g and k."""
+    g, w = _genus_and_degree(g, w)
     found: List[ExponentVector] = []
 
     def build(i: int, remaining: int, acc: Tuple[int, ...]) -> None:

@@ -55,6 +55,8 @@ def _ideal_slice_rref(g: int, w: int):
     ideal.append(({_exponents(g, (g,)): 1}, g))
     rows = []
     for gen, weight in ideal:
+        if weight > w:
+            continue  # no multiple of this generator has weight w
         for m in monomials_of_weight(g, w - weight):
             row = [0] * len(columns)
             for e, c in gen.items():

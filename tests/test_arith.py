@@ -10,6 +10,9 @@ from agtaut.arith import (
     FACTORIZATION_CAP,
     RATIONAL_PATTERN,
     abs_bernoulli,
+    as_int,
+    as_list,
+    as_rational,
     bernoulli,
     dirichlet_convolve,
     divisors,
@@ -56,7 +59,7 @@ def sigma_over_multiples(k, N):
     """[sigma_k(n) for n = 1..N]: d^k is added to every multiple of d."""
     table = [0] * (N + 1)
     for d in range(1, N + 1):
-        dk = d**k if k >= 0 else Fraction(1, d**-k)
+        dk = d**k
         table[d::d] = [total + dk for total in table[d::d]]
     return table[1:]
 
@@ -174,18 +177,15 @@ def test_bernoulli_rejects_non_int():
 def test_sigma_values():
     assert sigma(1, 1) == 1
     assert sigma(3, 2) == 9
-    assert sigma(-1, 6) == 2
     assert sigma(0, 12) == 6
-    assert sigma(-2, 4) == Fraction(21, 16)
 
 
 def test_sigma_matches_divisor_sum():
-    for k in range(-2, 20):
+    for k in range(20):
         for n, expected in enumerate(sigma_over_multiples(k, 2000), 1):
             value = sigma(k, n)
             assert value == expected, (k, n)
-            if k >= 0:
-                assert type(value) is int, (k, n)
+            assert type(value) is int, (k, n)
 
 
 def test_tables_match_sieve_over_multiples():
@@ -286,7 +286,7 @@ def test_eisenstein_convolution_integer_form():
             [sigma(1, m) for m in range(1, 301)], [n * jacobi_totient(k, n) for n in range(1, 301)]
         )
         rational_table = dirichlet_convolve(
-            [sigma(-1, m) for m in range(1, 301)], [jacobi_totient(k, n) for n in range(1, 301)]
+            [Fraction(sigma(1, m), m) for m in range(1, 301)], [jacobi_totient(k, n) for n in range(1, 301)]
         )
         for d in range(1, 301):
             integer_form = integer_table[d - 1]
@@ -314,7 +314,7 @@ def test_dirichlet_convolution_examples():
     assert dirichlet_convolve([1] * 5, [mobius(m) for m in range(1, 6)])[4] == 0
     assert dirichlet_convolve([1], [mobius(1)]) == [1]
     table = dirichlet_convolve(
-        [sigma(-1, m) for m in range(1, 5)], [jacobi_totient(2, m) for m in range(1, 5)]
+        [Fraction(sigma(1, m), m) for m in range(1, 5)], [jacobi_totient(2, m) for m in range(1, 5)]
     )
     assert table[0] == 1
     lhs = 4 * table[3]
@@ -326,7 +326,7 @@ def test_dirichlet_convolution_examples():
     [
         *((lambda m: 1, lambda m, k=k: m**k, True) for k in range(4)),
         (mobius, lambda m: m * mobius(m), True),
-        (lambda m: sigma(-1, m), lambda m: jacobi_totient(2, m), False),
+        (lambda m: Fraction(sigma(1, m), m), lambda m: jacobi_totient(2, m), False),
     ],
     ids=["one-id0", "one-id1", "one-id2", "one-id3", "mu-n-mu", "sigma-1-J2"],
 )
@@ -397,7 +397,8 @@ def test_parse_rational_accepts_the_grammar(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["0.5", "1e3", " 1/2 ", "1/2\n", "1 / 2", "/2", "1/", "1/-2", "", "0x10", "1_000"]
+    "text",
+    ["0.5", "1e3", " 1/2 ", "1/2 ", "1/2\n", "1.0", "1 / 2", "/2", "1/", "1/-2", "", "0x10", "1_000"],
 )
 def test_parse_rational_rejects_other_text(text):
     with pytest.raises(ValueError, match="malformed rational"):
@@ -410,6 +411,42 @@ def test_parse_rational_errors():
     for value in (1, 0.5, None, ["1"]):
         with pytest.raises(TypeError):
             parse_rational(value)
+
+
+def test_coercions_accept_their_exact_types():
+    assert as_int(3) == 3 and type(as_int(3)) is int
+    assert as_rational(Fraction(5, 3)) == Fraction(5, 3)
+    assert as_rational(-2) == Fraction(-2) and type(as_rational(-2)) is Fraction
+    assert as_list([]) == [] and as_list(["1", 2]) == ["1", 2]
+
+
+# The types a JSON value can take besides the one each helper accepts.
+@pytest.mark.parametrize(
+    "value",
+    [3.0, 3.7, "3", True, None, Fraction(3), [3], {}],
+    ids=["float-integral", "float", "str", "bool", "null", "Fraction", "list", "dict"],
+)
+def test_as_int_rejects_non_int(value):
+    with pytest.raises(TypeError, match="expected an int"):
+        as_int(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.1, 1.0, "5", "5/3", True, None],
+    ids=["float", "float-integral", "str", "str-p/q", "bool", "null"],
+)
+def test_as_rational_rejects_inexact_and_non_numbers(value):
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        as_rational(value)
+
+
+@pytest.mark.parametrize(
+    "value", ["12", "", {}, None, (1, 2)], ids=["str", "empty-str", "dict", "null", "tuple"]
+)
+def test_as_list_rejects_non_list(value):
+    with pytest.raises(TypeError, match="expected a list"):
+        as_list(value)
 
 
 def test_factorize():

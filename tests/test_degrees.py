@@ -122,6 +122,9 @@ def test_deg_phi_values():
     assert deg_phi(2, (2, 2)) == 720
     # shorter chains are padded with leading 1 entries
     assert deg_phi(3, (2,)) == deg_phi(3, (1, 1, 2))
+    # a longer chain is refused, printed as the type prints
+    with pytest.raises(ValueError, match=r"^type \(1,2\) longer than 1$"):
+        deg_phi(1, (1, 2))
 
 
 def test_deg_phi_special_equals_general():

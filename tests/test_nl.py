@@ -308,8 +308,6 @@ def test_eisenstein_matches_fraction_multiply_route():
             assert str(series) == fraction_series_text(expected), (g, order)
             json_dict = {"order": order, "coeffs": [str(c) for c in expected]}
             assert series.to_json_dict() == json_dict, (g, order)
-            text = json.dumps(series.to_json_dict(), sort_keys=True)
-            assert QSeries.from_json_dict(json.loads(text)) == series, (g, order)
             assert QSeries(expected) == series, (g, order)
 
 
@@ -364,8 +362,8 @@ def test_qseries_interface():
     assert str(series) == "1 + 1/2 q - 2 q^3"
     assert str(QSeries([1, Fraction(-1, 2), 0, 3])) == "1 - 1/2 q + 3 q^3"
     assert str(QSeries([-1, -1, Fraction(-7, 3)])) == "-1 - 1 q - 7/3 q^2"
-    text = json.dumps(series.to_json_dict(), sort_keys=True)
-    assert QSeries.from_json_dict(json.loads(text)) == series
+    assert series.to_json_dict() == {"order": 3, "coeffs": ["1", "1/2", "0", "-2"]}
+    assert QSeries([Fraction(2, 4), 3]).to_json_dict() == {"order": 1, "coeffs": ["1/2", "3"]}
     with pytest.raises(ValueError):
         series.coefficient(4)
     # coefficient(True) used to return the q^1 coefficient.
@@ -380,47 +378,6 @@ def test_qseries_interface():
         QSeries([1, 0.1])
     with pytest.raises(TypeError):
         QSeries([1, True])
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"order": 1, "coeffs": ["1", 0.5]}',
-        '{"order": 1, "coeffs": ["1", 2]}',
-        '{"order": "1", "coeffs": ["1", "2"]}',
-        '{"order": 1.0, "coeffs": ["1", "2"]}',
-        '{"order": true, "coeffs": ["1", "2"]}',
-        '{"order": 1, "coeffs": "12"}',
-        '{"order": 0, "coeffs": {"1": "1"}}',
-        '{"order": 0, "coeffs": null}',
-    ],
-    ids=[
-        "float-coeff",
-        "int-coeff",
-        "str-order",
-        "float-order",
-        "bool-order",
-        "str-coeffs",
-        "dict-coeffs",
-        "null-coeffs",
-    ],
-)
-def test_qseries_json_rejects_non_schema_types(text):
-    with pytest.raises(TypeError):
-        QSeries.from_json_dict(json.loads(text))
-
-
-def test_qseries_json_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        QSeries.from_json_dict(json.loads('{"order": 1, "coeffs": ["1", "1/0"]}'))
-    with pytest.raises(ValueError):
-        QSeries.from_json_dict(json.loads('{"order": 2, "coeffs": ["1", "2"]}'))
-
-
-@pytest.mark.parametrize("coeff", ["0.5", "1e3", " 1/2 ", "1/2 ", "1.0"])
-def test_qseries_json_rejects_text_outside_the_rational_grammar(coeff):
-    with pytest.raises(ValueError, match="malformed rational"):
-        QSeries.from_json_dict({"order": 1, "coeffs": ["1", coeff]})
 
 
 # -- ring-level vanishing -------------------------------------------------------
@@ -540,6 +497,13 @@ def test_library_entry_points_reject_bool_arguments():
             NLExpression(g, [])
         with pytest.raises(TypeError):
             parse_expression(g, "NL(2)")
+    # tilde_to_plain(0.5) used to compare before any int check and raise
+    # ValueError; both directions leave the checks to their tables.
+    for D in (0.5, 2.0, True):
+        with pytest.raises(TypeError):
+            tilde_to_plain(D)
+        with pytest.raises(TypeError):
+            plain_to_tilde(D)
 
 
 def test_taut_projection_product_is_symmetric():

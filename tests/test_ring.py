@@ -200,6 +200,11 @@ def test_ring_classes_reject_a_non_int_genus():
     for k, g in ((True, 3), (1.0, 3), (1, True), (1, 3.0)):
         with pytest.raises(TypeError):
             relation(k, g)
+    # monomials_of_weight(2.5, 1) used to recurse until RecursionError, and
+    # (True, 0) could hit the cache entry of (1, 0).
+    for g, w in ((2.5, 1), (True, 0), (3, True), (3, 1.0)):
+        with pytest.raises(TypeError):
+            monomials_of_weight(g, w)
     # the genus is checked before the degree
     with pytest.raises(ValueError, match="genus"):
         pairing_matrix(0, 5)
@@ -680,55 +685,9 @@ def test_str_formats():
 def test_json_roundtrip():
     x = taut(4, (1, 3), Fraction(5, 3)) + TautClass.one(4)
     data = x.to_json_dict()
-    assert data["g"] == 4
-    assert {"indices": [1, 3], "coeff": "5/3"} in data["terms"]
-    text = json.dumps(x.to_json_dict(), sort_keys=True)
-    assert TautClass.from_json_dict(json.loads(text)) == x
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"g": 3.7, "terms": [{"indices": [2], "coeff": 0.1}]}',
-        '{"g": 3, "terms": [{"indices": [2], "coeff": 0.1}]}',
-        '{"g": 3, "terms": [{"indices": [2], "coeff": 5}]}',
-        '{"g": 3.0, "terms": [{"indices": [2], "coeff": "5"}]}',
-        '{"g": "3", "terms": [{"indices": [2], "coeff": "5"}]}',
-        '{"g": 3, "terms": [{"indices": [2.0], "coeff": "5"}]}',
-        '{"g": 3, "terms": [{"indices": ["2"], "coeff": "5"}]}',
-        '{"g": 3, "terms": [{"indices": [true], "coeff": "5"}]}',
-        '{"g": 3, "terms": ""}',
-        '{"g": 3, "terms": {}}',
-        '{"g": 3, "terms": [{"indices": "", "coeff": "5"}]}',
-        '{"g": 3, "terms": [{"indices": {}, "coeff": "5"}]}',
-    ],
-    ids=[
-        "float-g-and-coeff",
-        "float-coeff",
-        "int-coeff",
-        "float-g",
-        "str-g",
-        "float-index",
-        "str-index",
-        "bool-index",
-        "str-terms",
-        "dict-terms",
-        "str-indices",
-        "dict-indices",
-    ],
-)
-def test_json_rejects_non_schema_types(text):
-    with pytest.raises(TypeError):
-        TautClass.from_json_dict(json.loads(text))
-
-
-def test_json_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        TautClass.from_json_dict(json.loads('{"g": 3, "terms": [{"indices": [2], "coeff": "1/0"}]}'))
-
-
-@pytest.mark.parametrize("coeff", ["0.5", "1e3", " 1/2 ", "1/2\n", "1.0"])
-def test_json_rejects_text_outside_the_rational_grammar(coeff):
-    text = json.dumps({"g": 3, "terms": [{"indices": [2], "coeff": coeff}]})
-    with pytest.raises(ValueError, match="malformed rational"):
-        TautClass.from_json_dict(json.loads(text))
+    assert data == {
+        "g": 4,
+        "terms": [{"indices": [], "coeff": "1"}, {"indices": [1, 3], "coeff": "5/3"}],
+    }
+    assert json.loads(json.dumps(data)) == data  # JSON types only
+    assert TautClass.zero(3).to_json_dict() == {"g": 3, "terms": []}
