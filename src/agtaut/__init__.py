@@ -55,7 +55,6 @@ from .nl import (
 )
 from .ring import (
     LambdaPolynomial,
-    PairingMatrix,
     TautClass,
     clear_caches as _clear_ring_caches,
     graded_dimension,

@@ -69,15 +69,15 @@ class PolarizationType:
         entries = tuple(map(as_int, (entries,) if isinstance(entries, int) else entries))
         if not entries:
             raise ValueError("polarization type must have at least one entry")
+        self.entries = entries  # so that the refusals below print the type
         if any(d < 1 for d in entries):
-            raise ValueError(f"entries must be positive, got {entries}")
+            raise ValueError(f"entries must be positive, got {self}")
         for a, b in zip(entries, entries[1:]):
             if b % a != 0:
                 raise ValueError(
-                    f"invalid polarization type {entries}: each entry must "
+                    f"invalid polarization type {self}: each entry must "
                     f"divide the next ({a} does not divide {b})"
                 )
-        self.entries = entries
 
     @property
     def u(self) -> int:

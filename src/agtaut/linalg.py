@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists of ints and Fractions; nothing here is
-numerical.  Just enough Gaussian elimination for the rank of a pairing
-matrix that carries no unitriangularity certificate (ring's fallback and
-verify's rank oracle), the matrix product that verify's basis-change suite
-checks, and `invert` as public API and as the test oracle of the closed-form
+numerical.  Just enough Gaussian elimination for verify's rank oracle,
+which checks the ring's pairing certificate by a route that does not read
+it, the matrix product that verify's basis-change suite checks, and
+`invert` as public API and as the test oracle of the closed-form
 basis-change transforms.  Integer matrices stay on int until a pivot other
 than +-1 forces a Fraction, so an integer matrix with unit pivots, such as
 a unit-triangular one, inverts entirely on int.

@@ -51,8 +51,8 @@ plus classes sigma_mu with q(mu) > q(S), and sigma_S pairs with sigma_T to
 <lambda_S, lambda_T> = 0 for every other T with q(T) >= q(S^c).  A matrix
 with that zero pattern, its columns re-indexed by complement and ordered by
 q, is unitriangular, so its determinant is +-1.  PairingMatrix checks the
-pattern entry by entry, so the proof does not rest on the identification,
-and falls back to exact elimination for a matrix that lacks it.
+pattern entry by entry, so the proof does not rest on the identification.
+Every pairing_matrix carries it, so it is the whole nonsingularity test.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from operator import add
 from typing import Iterable, List, Tuple
 
 from .arith import as_int, as_rational
-from .linalg import is_nonsingular
 
 # The oracle sums over 2^(g-1) fixed points for every pairing it solves.
 ORACLE_GENUS_CAP = 8
@@ -549,18 +548,18 @@ def socle_pair(a: TautClass, b: TautClass) -> Fraction:
 
 
 class PairingMatrix:
-    """Socle pairing between complementary graded pieces.
+    """Socle pairing between complementary graded pieces, built by pairing_matrix.
 
     Rows are the degree-k basis sets S, columns the degree top-k sets T,
-    and the entry is <lambda_S, lambda_T>, an int in the matrices that
-    pairing_matrix builds.  ``is_certified`` proves the matrix nonsingular
-    without arithmetic: with q(T) = sum of i^2 over T and S^c the
-    complement of S in {1, ..., g-1}, every row S must hold exactly 1 at
-    column S^c and be zero at every other column T with q(T) >= q(S^c).
-    Columns re-indexed by complement and ordered by decreasing q then form
-    a unitriangular matrix, so the determinant is +-1.  ``is_nonsingular``
-    tries that certificate first and falls back to exact elimination only
-    when it fails.
+    and the entry is <lambda_S, lambda_T>, an int.  ``is_certified`` proves
+    the matrix nonsingular without arithmetic: with q(T) = sum of i^2 over
+    T and S^c the complement of S in {1, ..., g-1}, every row S must hold
+    exactly 1 at column S^c and be zero at every other column T with
+    q(T) >= q(S^c).  Columns re-indexed by complement and ordered by
+    decreasing q then form a unitriangular matrix, so the determinant is
+    +-1.  Every matrix that pairing_matrix builds carries the certificate,
+    so ``is_nonsingular`` is the certificate: a hand-built matrix without
+    it reads False, whatever its rank.
     """
 
     __slots__ = ("g", "k", "rows", "cols", "entries")
@@ -600,7 +599,7 @@ class PairingMatrix:
         return True
 
     def is_nonsingular(self) -> bool:
-        return self.is_certified() or is_nonsingular(self.entries)
+        return self.is_certified()
 
     def __str__(self) -> str:
         fmt = lambda s: "[" + ",".join(map(str, s)) + "]"

@@ -291,7 +291,7 @@ def check_projection_calculus() -> str:
                 ring.multiply(nl.taut_nl_d_special(g, d), lam),
                 ring.TautClass.zero(g),
             )
-    return "pairwise products and products of projections vanish (g<=8)"
+    return "projections of pairwise products vanish, and lambda_{g-1} kills the u=1 projection (g<=8)"
 
 
 # -- 9. triangular basis change ---------------------------------------------------

@@ -45,9 +45,10 @@ CRITERIA = [
     ("gw-consistency", 7,
      "predictor chain closes exactly for 2<=g<=10, d<=50"),
     # 8. projections of pairwise NL products, each the ring product of the
-    #    individual projections, vanish for g <= 8
+    #    individual projections, vanish, and lambda_{g-1} kills the u = 1
+    #    projection, for g <= 8
     ("projection-calculus", 8,
-     "pairwise products and products of projections vanish (g<=8)"),
+     "projections of pairwise products vanish, and lambda_{g-1} kills the u=1 projection (g<=8)"),
     # 9. tilde/plain basis transforms are exact inverses up to D = 100
     ("basis-change", 9,
      "tilde/plain transforms are exact inverses up to D=100"),

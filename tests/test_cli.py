@@ -205,6 +205,23 @@ def test_usage_errors():
     assert code == 1
     code, _, err = invoke(["taut-product", "--g", "6", "--u", "3"])
     assert code == 1 and "out of scope" in err
+    # a refused chain is printed as the type prints it, not as a Python tuple
+    assert invoke(["taut-nl", "--g", "4", "--delta", "2,3"]) == (
+        1,
+        "",
+        "usage error: invalid polarization type (2,3): each entry must divide the next"
+        " (2 does not divide 3)\n",
+    )
+    assert invoke(["deg-phi", "--g", "3", "--delta", "0,2"]) == (
+        1,
+        "",
+        "usage error: entries must be positive, got (0,2)\n",
+    )
+    assert invoke(["deg-phi", "--g", "3", "--delta", "0"]) == (
+        1,
+        "",
+        "usage error: entries must be positive, got (0)\n",
+    )
 
 
 def test_empty_list_items_are_usage_errors():

@@ -8,7 +8,6 @@ import dense_elimination
 import ideal_slice_elimination
 from agtaut import ring
 from agtaut.linalg import identity, invert, is_nonsingular, mat_mul, rref
-from agtaut.nl import tilde_to_plain
 
 
 def frac_matrix(rows):
@@ -128,39 +127,8 @@ def assert_rref_matches_dense(rows):
     assert rows == before
 
 
-def _random_entry(rng, kind):
-    if kind == "mixed":
-        kind = rng.choice(("int", "fraction"))
-    numerator = rng.choice((0, 0, 0, 1, -1, 2, -3, 5))
-    if kind == "int":
-        return numerator
-    return Fraction(numerator, rng.choice((1, 2, 3, 7)))
-
-
-def _random_matrix(rng, kind, nrows, ncols):
-    m = [[_random_entry(rng, kind) for _ in range(ncols)] for _ in range(nrows)]
-    shape = rng.choice(("plain", "singular", "zero row", "zero column"))
-    if shape == "singular" and nrows >= 2:
-        a, b = rng.sample(range(nrows), 2)
-        m[a] = [x - 2 * y for x, y in zip(m[b], m[(b + 1) % nrows])]
-    elif shape == "zero row":
-        m[rng.randrange(nrows)] = [0] * ncols
-    elif shape == "zero column":
-        col = rng.randrange(ncols)
-        for row in m:
-            row[col] = 0
-    return m
-
-
 def test_rref_matches_dense_reference():
-    rng = random.Random(20241)
-    for kind in ("int", "fraction", "mixed"):
-        for nrows, ncols in ((7, 3), (3, 7), (5, 5), (1, 6), (6, 1), (9, 12)):
-            for _ in range(15):
-                assert_rref_matches_dense(_random_matrix(rng, kind, nrows, ncols))
-    basis_change = tilde_to_plain(100)
-    augmented = [row + ident for row, ident in zip(basis_change, identity(100))]
-    for rows in ([], [[]], [[0, 0], [0, 0]], augmented):
+    for rows in dense_elimination.seeded_matrices() + [[], [[]], [[0, 0], [0, 0]]]:
         assert_rref_matches_dense(rows)
 
 

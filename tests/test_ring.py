@@ -360,9 +360,14 @@ def test_pairing_certificate_agrees_with_rank():
             assert is_nonsingular([list(row) for row in m.entries]), (g, k)
 
 
-def test_pairing_certificate_at_genus_12():
-    for k in range(top_degree(12) + 1):
-        assert pairing_matrix(12, k).is_certified(), k
+def test_every_pairing_matrix_up_to_genus_13_is_certified():
+    # With CI's check of g = 13..15, this covers every matrix that
+    # pairing_matrix builds (g <= PAIRING_GENUS_CAP), and the certificate
+    # is all that is_nonsingular reads.
+    for g in range(1, 14):
+        for k in range(top_degree(g) + 1):
+            m = pairing_matrix(g, k)
+            assert m.is_certified() and m.is_nonsingular(), (g, k)
 
 
 def _perturbed(m, row, col, value):
@@ -374,9 +379,11 @@ def _perturbed(m, row, col, value):
 def test_pairing_certificate_rejects_perturbed_matrices():
     m = pairing_matrix(7, 10)
     assert m.is_certified()
-    # Complement entry 2: no certificate, but the determinant is +-2.
+    # Complement entry 2: no certificate, so is_nonsingular reads False,
+    # though the determinant is +-2.
     doubled = _perturbed(m, (1, 2, 3, 4), (5, 6), 2)
-    assert not doubled.is_certified() and doubled.is_nonsingular()
+    assert not doubled.is_certified() and not doubled.is_nonsingular()
+    assert is_nonsingular(doubled.entries)
     # Nonzero entry at T = (2,4,5) in row S = (4,6): q(T) = 45 >= q(S^c) = 39.
     assert not _perturbed(m, (4, 6), (2, 4, 5), 1).is_certified()
     # A duplicated row, with or without its label, is singular.
@@ -385,6 +392,7 @@ def test_pairing_certificate_rejects_perturbed_matrices():
     for rows in (m.rows, (m.rows[0],) * 2 + m.rows[2:]):
         dup = PairingMatrix(m.g, m.k, rows, m.cols, entries)
         assert not dup.is_certified() and not dup.is_nonsingular()
+        assert not is_nonsingular(dup.entries)
 
 
 # -- oracle --------------------------------------------------------------------

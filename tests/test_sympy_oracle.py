@@ -3,7 +3,8 @@
 The ring's normal form is checked against a Groebner basis of the defining
 ideal, built from total_chern and total_chern_dual rather than from
 relation, so the rewrite rules are checked too.  The scalar functions of
-arith are checked against sympy's own number theory.
+arith are checked against sympy's own number theory, and linalg.rref
+against sympy's.
 """
 
 from fractions import Fraction
@@ -13,12 +14,14 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+import dense_elimination
 from agtaut.arith import (
     bernoulli,
     jacobi_totient_table,
     mobius_table,
     sigma_table,
 )
+from agtaut.linalg import rref
 from agtaut.ring import (
     LambdaPolynomial,
     graded_dimension,
@@ -103,3 +106,10 @@ def test_totient_and_mobius_tables_match_sympy():
 def test_jacobi_totient_table_matches_factorint_product(k):
     expected = [_jacobi_totient_by_factorint(k, n) for n in TABLE_RANGE]
     assert jacobi_totient_table(k, len(TABLE_RANGE)) == expected
+
+
+def test_rref_matches_sympy():
+    for rows in dense_elimination.seeded_matrices():
+        reduced, pivots = sympy.Matrix(rows).rref()
+        expected = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(rows))]
+        assert rref(rows) == (expected, list(pivots)), rows
