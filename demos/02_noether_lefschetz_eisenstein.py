@@ -11,7 +11,6 @@ from fractions import Fraction
 from agtaut.nl import (
     eisenstein_series,
     nl_constant,
-    parse_expression,
     taut_nl,
     taut_nl_tilde,
     taut_product_cycle,
@@ -43,6 +42,6 @@ print("  every coefficient matches (-1)^g/24 times the series.")
 print()
 print("=== the projection calculus on formal expressions ===")
 for text in ("3 * NL(2) + NLt(2)", "NL(2) * NLt(3)", "L(1) * NL(2)"):
-    value = taut_projection(parse_expression(2, text))
+    value = taut_projection(2, text)
     print(f"  g=2: taut({text}) = {value}")
 print("  products of NL-supported cycles always project to zero.")

@@ -40,10 +40,8 @@ from .degrees import (
 )
 from .gw import conjecture_prediction, gw_tau1_lambda, triple_hodge_integral
 from .nl import (
-    NLExpression,
     QSeries,
     eisenstein_series,
-    parse_expression,
     plain_to_tilde,
     taut_nl,
     taut_nl_d_special,

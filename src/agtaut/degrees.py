@@ -30,10 +30,12 @@ which for delta = (p) is the order of SL_2(F_p), the group of symplectic
 automorphisms of the kernel.
 
 The closed forms evaluate each prime product as J_s(n) / n^s (Jacobi
-totient); the stratified route counts on int, and the isotropic tuple count
-keeps the prime product as its second printed form.  Every degree is
-returned as a plain int; deg_pi passes through the rational chain
-correction and refuses a non-integral result.
+totient), except deg_phi_special, which evaluates its displayed product
+over the primes of d on int and so is a second route to deg_phi on the
+chains (1^(g-h), d^h); the stratified route counts on int, and the
+isotropic tuple count keeps the prime product as its second printed
+form.  Every degree is returned as a plain int; deg_pi passes through the
+rational chain correction and refuses a non-integral result.
 
 The NL locus is reached through these covers, so the polarization types
 and the NL constant C(delta) * deg_phi_{g-u}(delta) live here too.
@@ -172,14 +174,18 @@ def isotropic_tuple_count(g: int, h: int, p: int) -> int:
 
 
 def deg_phi_special(g: int, h: int, d: int) -> int:
-    """Degree for delta = (1^(g-h), d^h): d^(h(2g+1)) prod_{p|d} prod_{i=g-h+1}^{g} (1 - p^(-2i))
-    = prod_{i=g-h+1}^{g} d^(2g+1-2i) J_2i(d)."""
+    """Degree for delta = (1^(g-h), d^h), evaluated in its displayed form
+    d^(h(2g+1)) prod_{p|d} prod_{i=g-h+1}^{g} (1 - p^(-2i)) from the primes
+    of d: d^(h(2g+1)) prod (p^(2i) - 1), divided exactly by prod p^(2i)."""
     g, h, d = as_int(g), as_int(h), as_int(d)
     if not 1 <= h <= g or d < 1:
         raise ValueError(f"requires 1 <= h <= g and d >= 1, got g={g}, h={h}, d={d}")
-    return math.prod(
-        d ** (2 * g + 1 - 2 * i) * jacobi_totient(2 * i, d) for i in range(g - h + 1, g + 1)
-    )
+    numerator, denominator = d ** (h * (2 * g + 1)), 1
+    for p, _ in factorize(d):
+        for i in range(g - h + 1, g + 1):
+            numerator *= p ** (2 * i) - 1
+            denominator *= p ** (2 * i)
+    return numerator // denominator
 
 
 def deg_phi(g: int, delta) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterator, List, Sequence, Tuple
 
 from .arith import (
@@ -47,7 +47,7 @@ from .arith import (
     sigma_table,
 )
 from .degrees import PolarizationType, nl_constant
-from .ring import LambdaPolynomial, TautClass, multiply, reduce
+from .ring import LambdaPolynomial, TautClass, reduce
 
 # Largest truncation order of eisenstein_series: its sigma table, and the
 # prime-power sieve under it, hold a list of order + 1 ints each.
@@ -285,84 +285,41 @@ def eisenstein_series(g: int, D: int) -> QSeries:
     return QSeries._over(numerators, q)
 
 
-# -- formal expressions and the projection calculus ------------------------
-
-Symbol = Tuple[str, tuple]
+# -- the projection calculus --------------------------------------------------
 
 _TOKEN_SYMBOL = re.compile(r"^(NL|NLt|P|L)\(([0-9,\s]*)\)$")
 
 
-def _symbol(g: int, kind: str, args) -> Tuple[Symbol, TautClass]:
-    """A symbol's normal form and its projection.  The function that owns
-    the kind makes every check: PolarizationType and taut_nl for NL,
-    taut_nl_tilde for NLt, taut_product_cycle for P and
-    LambdaPolynomial.monomial for L."""
-    args = tuple(args)
+def _project(g: int, kind: str, args: tuple) -> TautClass:
+    """A symbol's projection.  The function that owns the kind makes every
+    check: PolarizationType and taut_nl for NL, taut_nl_tilde for NLt,
+    taut_product_cycle for P and LambdaPolynomial.monomial for L."""
     if kind == "NL":
-        delta = PolarizationType(args)
-        return ("NL", delta.entries), taut_nl(g, delta)
+        return taut_nl(g, args)
     if kind == "L":
-        args = tuple(sorted(args))
-        return ("L", args), reduce(LambdaPolynomial.monomial(g, args))
-    if kind in ("NLt", "P"):
-        if len(args) != 1:
-            raise ValueError(f"{kind} takes a single argument, got {args}")
-        project = taut_nl_tilde if kind == "NLt" else taut_product_cycle
-        return (kind, args), project(g, args[0])
-    raise ValueError(f"unknown symbol kind {kind!r}")
+        return reduce(LambdaPolynomial.monomial(g, sorted(args)))
+    if len(args) != 1:
+        raise ValueError(f"{kind} takes a single argument, got {args}")
+    return (taut_nl_tilde if kind == "NLt" else taut_product_cycle)(g, args[0])
 
 
-class NLExpression:
-    """Q-linear combination of cycle symbols, with at most pairwise products.
-
-    Terms are (coefficient, symbols) with one or two symbols each, every
-    symbol in its normal form (an NL chain as a tuple, lambda indices
-    sorted).  Each term is projected once, here: classes[i] is terms[i]'s
-    coefficient times its symbol's projection, or times the ring product of
-    its two symbols' projections (the projection is a homomorphism, and the
-    ring computes an NL x NL product's 0: lambda_{g-1}^2 = relation(g-1, g)).
-    So an invalid or out-of-scope symbol is refused here, even as a factor
-    of a product that projects to 0.  Products of three or more symbols are
-    rejected: only pairwise vanishing of NL-supported cycles is proved, and
-    the API stays honest about it.  g must be an int.
-    """
-
-    __slots__ = ("g", "terms", "classes")
-
-    def __init__(self, g: int, terms: Sequence[Tuple[Fraction, Tuple[Symbol, ...]]]):
-        g = as_int(g)
-        if g < 2:
-            raise ValueError(f"genus must be >= 2, got {g}")
-        self.g = g
-        clean: List[Tuple[Fraction, Tuple[Symbol, ...]]] = []
-        classes: List[TautClass] = []
-        for coeff, symbols in terms:
-            symbols = tuple(symbols)
-            if not 1 <= len(symbols) <= 2:
-                raise ValueError(
-                    f"terms must have one or two symbols, got {len(symbols)} "
-                    f"(products of three or more symbols are rejected)"
-                )
-            normal, factors = zip(*(_symbol(g, kind, args) for kind, args in symbols))
-            coeff = as_rational(coeff)
-            clean.append((coeff, normal))
-            classes.append(coeff * (multiply(*factors) if len(factors) == 2 else factors[0]))
-        self.terms = tuple(clean)
-        self.classes = tuple(classes)
-
-    def __repr__(self) -> str:
-        return f"NLExpression(g={self.g}, terms={list(self.terms)})"
-
-
-def parse_expression(g: int, text: str) -> NLExpression:
-    """Parse the tiny expression grammar.
+def taut_projection(g: int, text: str) -> TautClass:
+    """Projection of a Q-linear combination of cycle symbols, read from text.
 
     Terms are joined by '+'; each term is an optional rational coefficient
     'a/b *' followed by a symbol, with at most a single '*' between two
     symbols.  Symbols: NL(d1,d2,...), NLt(d), P(u), L(i,j,...); L() is the
     monomial 1, and an empty item in a nonempty argument list is an error.
-    NLExpression refuses a term with no symbol or more than two, and
-    projects a product to the ring product of its factors' projections.
+
+    The whole text is parsed first, and then projected term by term: a
+    term's class is its coefficient times the product of its symbols'
+    projections.  A product of two symbols is their ring product (the
+    projection is a homomorphism, and the ring computes an NL x NL
+    product's 0: lambda_{g-1}^2 = relation(g-1, g)), so an invalid or
+    out-of-scope symbol is refused even as a factor of a product that
+    projects to 0.  A term with no symbol or with three or more is
+    rejected: only pairwise vanishing of NL-supported cycles is proved,
+    and the API stays honest about it.  g must be an int >= 2.
     """
     terms = []
     for chunk in text.split("+"):
@@ -385,14 +342,16 @@ def parse_expression(g: int, text: str) -> NLExpression:
             except ValueError as exc:
                 raise ValueError(f"malformed argument list in symbol {piece!r}: {exc}") from exc
             symbols.append((kind, args))
-        terms.append((coeff, tuple(symbols)))
-    return NLExpression(g, terms)
-
-
-def taut_projection(expression: NLExpression) -> TautClass:
-    """Linear extension of the projection over an expression: the sum of
-    the term classes made when the expression was built.  A product
-    projects to the ring product of its factors' projections, so the ring,
-    not this function, computes the zero of an NL x NL product.
-    """
-    return sum(expression.classes, TautClass.zero(expression.g))
+        terms.append((coeff, symbols))
+    g = as_int(g)
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, got {g}")
+    total = TautClass.zero(g)
+    for coeff, symbols in terms:
+        if not 1 <= len(symbols) <= 2:
+            raise ValueError(
+                f"terms must have one or two symbols, got {len(symbols)} "
+                f"(products of three or more symbols are rejected)"
+            )
+        total += prod((_project(g, kind, args) for kind, args in symbols), start=coeff)
+    return total

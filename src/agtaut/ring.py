@@ -127,10 +127,14 @@ class _SparseTerms:
             raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         self._check_genus(other)
         return type(self)(self.g, _collect(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         return self + (-1) * other
 
     def __mul__(self, other):
@@ -551,15 +555,14 @@ class PairingMatrix:
     """Socle pairing between complementary graded pieces, built by pairing_matrix.
 
     Rows are the degree-k basis sets S, columns the degree top-k sets T,
-    and the entry is <lambda_S, lambda_T>, an int.  ``is_certified`` proves
-    the matrix nonsingular without arithmetic: with q(T) = sum of i^2 over
-    T and S^c the complement of S in {1, ..., g-1}, every row S must hold
-    exactly 1 at column S^c and be zero at every other column T with
-    q(T) >= q(S^c).  Columns re-indexed by complement and ordered by
+    and the entry is <lambda_S, lambda_T>, an int.  ``is_nonsingular``
+    proves the matrix nonsingular without arithmetic: with q(T) = sum of
+    i^2 over T and S^c the complement of S in {1, ..., g-1}, every row S
+    must hold exactly 1 at column S^c and be zero at every other column T
+    with q(T) >= q(S^c).  Columns re-indexed by complement and ordered by
     decreasing q then form a unitriangular matrix, so the determinant is
-    +-1.  Every matrix that pairing_matrix builds carries the certificate,
-    so ``is_nonsingular`` is the certificate: a hand-built matrix without
-    it reads False, whatever its rank.
+    +-1.  Every matrix that pairing_matrix builds carries the certificate;
+    a hand-built matrix without it reads False, whatever its rank.
     """
 
     __slots__ = ("g", "k", "rows", "cols", "entries")
@@ -574,7 +577,7 @@ class PairingMatrix:
         self.cols = cols
         self.entries = entries
 
-    def is_certified(self) -> bool:
+    def is_nonsingular(self) -> bool:
         """True when the +-1 triangularity certificate holds (a proof of
         nonsingularity); False says nothing either way."""
         col_index = {t: j for j, t in enumerate(self.cols)}
@@ -597,9 +600,6 @@ class PairingMatrix:
                 if row[c] and c != j:
                     return False
         return True
-
-    def is_nonsingular(self) -> bool:
-        return self.is_certified()
 
     def __str__(self) -> str:
         fmt = lambda s: "[" + ",".join(map(str, s)) + "]"
@@ -754,7 +754,7 @@ def _localized_pairing(g: int, w: int):
     rows = tuple(sorted(basis_sets(g, w), key=lambda s: sum(i * i for i in s)))
     cols = tuple(tuple(i for i in range(1, g) if i not in s) for s in rows)
     entries = [[_socle(g, _exponents(g, s + t)) for t in cols] for s in rows]
-    if not PairingMatrix(g, w, rows, cols, entries).is_certified():
+    if not PairingMatrix(g, w, rows, cols, entries).is_nonsingular():
         raise RuntimeError(f"localized pairing at (g={g}, w={w}) is not certified unitriangular")
     return rows, cols, entries
 

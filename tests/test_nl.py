@@ -10,12 +10,10 @@ from agtaut.arith import bernoulli, factorize, sigma
 from agtaut.degrees import deg_phi
 from agtaut.linalg import identity, invert, mat_mul
 from agtaut.nl import (
-    NLExpression,
     PolarizationType,
     QSeries,
     eisenstein_series,
     nl_constant,
-    parse_expression,
     plain_to_tilde,
     taut_nl,
     taut_nl_d_special,
@@ -393,91 +391,81 @@ def test_top_lambda_kills_u1_projections():
 # -- expression grammar and projection calculus ---------------------------------
 
 
-def test_parse_expression_forms():
-    e = parse_expression(2, "3 * NL(2) + NLt(2)")
-    assert len(e.terms) == 2
-    assert e.terms[0] == (Fraction(3), (("NL", (2,)),))
-    e = parse_expression(4, "-1/2 * L(1,3)")
-    assert e.terms[0][0] == Fraction(-1, 2)
-    e = parse_expression(4, "NL(1,2) * NLt(3)")
-    assert len(e.terms[0][1]) == 2
-    e = parse_expression(6, "P(2)")
-    assert e.terms[0][1][0] == ("P", (2,))
+def test_taut_projection_forms():
+    assert taut_projection(2, "3 * NL(2) + NLt(2)") == 3 * taut_nl(2, 2) + taut_nl_tilde(2, 2)
+    assert taut_projection(4, "-1/2 * L(1,3)") == taut(4, (1, 3), Fraction(-1, 2))
+    product = multiply(taut_nl(4, (1, 2)), taut_nl_tilde(4, 3))
+    assert taut_projection(4, "NL(1,2) * NLt(3)") == product
+    assert taut_projection(6, "P(2)") == taut_product_cycle(6, 2)
 
 
-def test_parse_expression_errors():
+def test_taut_projection_errors():
     for text in ("NL(2) * NL(2) * NL(2)", "3 * NL(2) * NL(2) * NL(2)", "1/2"):
         with pytest.raises(ValueError, match="one or two symbols"):
-            parse_expression(2, text)
+            taut_projection(2, text)
     with pytest.raises(ValueError):
-        parse_expression(2, "Q(2)")
+        taut_projection(2, "Q(2)")
     with pytest.raises(ValueError):
-        parse_expression(2, "NL(2,3)")  # not a chain
+        taut_projection(2, "NL(2,3)")  # not a chain
     with pytest.raises(ValueError):
-        parse_expression(2, "NL(1,1)")  # u > g/2
+        taut_projection(2, "NL(1,1)")  # u > g/2
     with pytest.raises(ValueError):
-        parse_expression(2, "P(2)")
+        taut_projection(2, "P(2)")
     with pytest.raises(ValueError):
-        parse_expression(2, "L(3)")  # lambda index beyond g
+        taut_projection(2, "L(3)")  # lambda index beyond g
     with pytest.raises(ValueError):
-        parse_expression(2, "")
+        taut_projection(2, "")
     with pytest.raises(ValueError):
-        parse_expression(2, "NLt(2) +")
+        taut_projection(2, "NLt(2) +")
     for text in ("L(1,,2)", "NL(,2)", "L(1,)", "NLt(,)"):  # an empty argument item
         with pytest.raises(ValueError, match="malformed argument list"):
-            parse_expression(4, text)
-    for kind, args in (("NLt", (True,)), ("P", (True,)), ("NL", (True,)), ("L", (1.0,))):
-        with pytest.raises(TypeError):
-            NLExpression(4, [(1, ((kind, args),))])
-    with pytest.raises(TypeError):
-        NLExpression(4, [(True, (("L", (1,)),))])  # a bool coefficient
+            taut_projection(4, text)
 
 
-def test_expression_stores_normalized_symbols():
-    # lambda indices are sorted and NL chains validated whichever way the
-    # expression is built
-    built = NLExpression(4, [(1, (("L", (2, 1)), ("NL", [1, 2])))])
-    assert built.terms == ((Fraction(1), (("L", (1, 2)), ("NL", (1, 2)))),)
-    assert parse_expression(4, "L(2,1) * NL(1,2)").terms == built.terms
+def test_whole_text_is_parsed_before_any_term_is_projected():
+    # NL(1,1,1) alone is out of scope, but the unparsable second term is
+    # refused first.
+    with pytest.raises(ValueError, match=r"^cannot parse symbol 'Q\(2\)'$"):
+        taut_projection(6, "NL(1,1,1) + Q(2)")
 
 
 def test_expression_rejects_triple_products():
     with pytest.raises(ValueError, match="three or more"):
-        NLExpression(2, [(Fraction(1), (("NL", (2,)), ("NLt", (1,)), ("P", (1,))))])
+        taut_projection(2, "NL(2) * NLt(1) * P(1)")
 
 
 def test_expression_rejects_float_coefficients():
-    with pytest.raises(TypeError):
-        NLExpression(2, [(0.5, (("NL", (2,)),))])
+    with pytest.raises(ValueError, match="cannot parse symbol '0.5'"):
+        taut_projection(2, "0.5 * NL(2)")
 
 
 def test_taut_projection_examples():
     # product of two NL-supported symbols projects to zero
-    assert taut_projection(parse_expression(2, "NL(2) * NLt(3)")).is_zero()
+    assert taut_projection(2, "NL(2) * NLt(3)").is_zero()
     # a tautological factor multiplies through: L1 * NL_{2,(2)} -> 60 L1^2 = 0
-    assert taut_projection(parse_expression(2, "L(1) * NL(2)")).is_zero()
+    assert taut_projection(2, "L(1) * NL(2)").is_zero()
     # linearity
-    assert taut_projection(parse_expression(2, "3 * NL(2) + NLt(2)")) == taut(2, (1,), 270)
+    assert taut_projection(2, "3 * NL(2) + NLt(2)") == taut(2, (1,), 270)
 
 
 def test_taut_projection_more_cases():
-    assert taut_projection(parse_expression(3, "NLt(0)")) == taut(3, (2,), Fraction(-1, 24))
-    assert taut_projection(parse_expression(3, "L(1) * L(2)")) == taut(3, (1, 2))
-    assert taut_projection(parse_expression(3, "L(1,1)")) == taut(3, (2,), 2)
-    assert taut_projection(parse_expression(4, "P(2)")) == taut_product_cycle(4, 2)
-    assert taut_projection(parse_expression(4, "L()")) == TautClass.one(4)
+    assert taut_projection(3, "NLt(0)") == taut(3, (2,), Fraction(-1, 24))
+    assert taut_projection(3, "L(1) * L(2)") == taut(3, (1, 2))
+    assert taut_projection(3, "L(1,1)") == taut(3, (2,), 2)
+    assert taut_projection(4, "P(2)") == taut_product_cycle(4, 2)
+    assert taut_projection(4, "L()") == TautClass.one(4)
     # lambda monomial times a u=2 cycle lands in the ring product
-    lhs = taut_projection(parse_expression(4, "L(2) * NL(1,2)"))
+    lhs = taut_projection(4, "L(2) * NL(1,2)")
     assert lhs == multiply(taut(4, (2,)), taut_nl(4, (1, 2)))
     with pytest.raises(ValueError, match="out of scope"):
-        taut_projection(parse_expression(6, "NL(1,1,1)"))
+        taut_projection(6, "NL(1,1,1)")
 
 
 def test_out_of_scope_symbol_is_refused_inside_an_nl_product():
     # the product would project to 0, but its factors are still projected
     for text in ("NL(1,1,1) * NLt(1)", "NLt(1) * NL(1,1,1)", "P(3) * NL(2)"):
         with pytest.raises(ValueError, match="out of scope"):
-            parse_expression(6, text)
+            taut_projection(6, text)
 
 
 def test_library_entry_points_reject_bool_arguments():
@@ -488,15 +476,15 @@ def test_library_entry_points_reject_bool_arguments():
     with pytest.raises(TypeError):
         LambdaPolynomial.monomial(4, (True,))
     # taut_nl_pair_special(4, 1, 1.5) used to say "requires d1 | d2", and
-    # NLExpression(2.5, []) built an expression of genus 2.5.
+    # the projection calculus once took an expression of genus 2.5.
     for args in ((True, 1, 1), (4, True, 1), (4, 1, 1.5), (4.0, 1, 1)):
         with pytest.raises(TypeError):
             taut_nl_pair_special(*args)
     for g in (2.5, True, 4.0):
         with pytest.raises(TypeError):
-            NLExpression(g, [])
+            taut_projection(g, "L()")
         with pytest.raises(TypeError):
-            parse_expression(g, "NL(2)")
+            taut_projection(g, "NL(2)")
     # tilde_to_plain(0.5) used to compare before any int check and raise
     # ValueError; both directions leave the checks to their tables.
     for D in (0.5, 2.0, True):
@@ -507,8 +495,8 @@ def test_library_entry_points_reject_bool_arguments():
 
 
 def test_taut_projection_product_is_symmetric():
-    lam_first = taut_projection(parse_expression(4, "L(1) * NL(2)"))
-    nl_first = taut_projection(parse_expression(4, "NL(2) * L(1)"))
+    lam_first = taut_projection(4, "L(1) * NL(2)")
+    nl_first = taut_projection(4, "NL(2) * L(1)")
     assert not lam_first.is_zero()
     assert lam_first == nl_first == multiply(taut(4, (1,)), taut_nl(4, (2,)))
 
@@ -518,7 +506,7 @@ def test_product_projects_to_the_ring_product(monkeypatch):
     # projection is computed in the ring, not assumed 0: lambda_1^2 =
     # 2 lambda_2 at g = 4, so 2 L(1) times 3 L(1) is 12 L(2).
     monkeypatch.setattr(nl, "taut_nl_tilde", lambda g, d: TautClass.monomial(g, (1,), d))
-    product = taut_projection(parse_expression(4, "NLt(2) * NLt(3)"))
+    product = taut_projection(4, "NLt(2) * NLt(3)")
     assert product == multiply(taut(4, (1,), 2), taut(4, (1,), 3)) == taut(4, (2,), 12)
 
 
@@ -526,9 +514,9 @@ def test_homomorphism_property_on_nl_pairs():
     for g in (2, 4, 6):
         pairs = [("NL(2)", "NLt(4)"), ("P(1)", "NL(3)"), ("NLt(0)", "NLt(5)")]
         for a, b in pairs:
-            product = taut_projection(parse_expression(g, f"{a} * {b}"))
+            product = taut_projection(g, f"{a} * {b}")
             separate = multiply(
-                taut_projection(parse_expression(g, a)),
-                taut_projection(parse_expression(g, b)),
+                taut_projection(g, a),
+                taut_projection(g, b),
             )
             assert product.is_zero() and separate.is_zero()

@@ -25,9 +25,8 @@ REFUSALS = [
     (nl.taut_nl_pair_special, (3, 1, 1)),
     (nl.taut_nl_tilde, (2, -1)),
     (nl.eisenstein_series, (1, 5)),
-    (nl.parse_expression, (4, "P(1,2)")),
-    (nl.NLExpression, (1, [])),
-    (nl.NLExpression, (4, [(1, (("Q", (1,)),))])),
+    (nl.taut_projection, (4, "P(1,2)")),
+    (nl.taut_projection, (1, "L()")),
     (ring.TautClass, (0, {})),
     (ring.LambdaPolynomial, (3, {(1, 0): 1})),
     (ring.graded_dimension, (3, -1)),

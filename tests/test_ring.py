@@ -130,6 +130,17 @@ def test_multiply_genus_mismatch():
         multiply(TautClass.one(3), TautClass.one(4))
 
 
+def test_mixed_type_sums_are_type_errors():
+    # An int or the other ring representation is neither added nor
+    # subtracted: each raises TypeError, not an error about its indices.
+    a, poly = taut(2, (1,)), mono(2, (1,))
+    for x, y in ((a, 1), (a, 0), (1, a), (a, poly), (poly, a), (poly, 1)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+
+
 def test_multiply_commutative_associative_random():
     rng = random.Random(17)
 
@@ -356,7 +367,7 @@ def test_pairing_certificate_agrees_with_rank():
     for g in range(2, 10):
         for k in range(top_degree(g) + 1):
             m = pairing_matrix(g, k)
-            assert m.is_certified(), (g, k)
+            assert m.is_nonsingular(), (g, k)
             assert is_nonsingular([list(row) for row in m.entries]), (g, k)
 
 
@@ -367,7 +378,7 @@ def test_every_pairing_matrix_up_to_genus_13_is_certified():
     for g in range(1, 14):
         for k in range(top_degree(g) + 1):
             m = pairing_matrix(g, k)
-            assert m.is_certified() and m.is_nonsingular(), (g, k)
+            assert m.is_nonsingular(), (g, k)
 
 
 def _perturbed(m, row, col, value):
@@ -378,20 +389,20 @@ def _perturbed(m, row, col, value):
 
 def test_pairing_certificate_rejects_perturbed_matrices():
     m = pairing_matrix(7, 10)
-    assert m.is_certified()
+    assert m.is_nonsingular()
     # Complement entry 2: no certificate, so is_nonsingular reads False,
     # though the determinant is +-2.
     doubled = _perturbed(m, (1, 2, 3, 4), (5, 6), 2)
-    assert not doubled.is_certified() and not doubled.is_nonsingular()
+    assert not doubled.is_nonsingular()
     assert is_nonsingular(doubled.entries)
     # Nonzero entry at T = (2,4,5) in row S = (4,6): q(T) = 45 >= q(S^c) = 39.
-    assert not _perturbed(m, (4, 6), (2, 4, 5), 1).is_certified()
+    assert not _perturbed(m, (4, 6), (2, 4, 5), 1).is_nonsingular()
     # A duplicated row, with or without its label, is singular.
     entries = [list(r) for r in m.entries]
     entries[1] = entries[0]
     for rows in (m.rows, (m.rows[0],) * 2 + m.rows[2:]):
         dup = PairingMatrix(m.g, m.k, rows, m.cols, entries)
-        assert not dup.is_certified() and not dup.is_nonsingular()
+        assert not dup.is_nonsingular()
         assert not is_nonsingular(dup.entries)
 
 
@@ -434,7 +445,7 @@ def test_oracle_agrees_with_rewriting_small_genus():
 
 def test_oracle_refuses_inconsistent_localization(monkeypatch):
     # Called unwrapped, so the oracle's caches never see the broken data.
-    monkeypatch.setattr(PairingMatrix, "is_certified", lambda self: False)
+    monkeypatch.setattr(PairingMatrix, "is_nonsingular", lambda self: False)
     with pytest.raises(RuntimeError, match="not certified"):
         ring._localized_pairing.__wrapped__(4, 2)
     monkeypatch.undo()
