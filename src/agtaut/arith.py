@@ -110,10 +110,10 @@ def divisors(n: int) -> Tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-# (T_1, ..., T_M) from the last Brent-Harvey pass (T_m at index m - 1), M
-# the largest m asked for.  It is rebound, never edited, so a caller that
-# holds it may index it safely.
+# T_1..T_M (T_m at index m - 1, M the largest m asked for) and the pass's
+# column M.  The table is rebound, never edited, so a holder may index it.
 _tangent_numbers: Tuple[int, ...] = ()
+_tangent_column: List[int] = []
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -140,29 +140,33 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    global _tangent_numbers
+    global _tangent_numbers, _tangent_column
     m = n // 2
-    tangents = _tangent_numbers
-    if m > len(tangents):
-        tangents = _tangent_numbers = _tangent_table(m)
+    if m > len(_tangent_numbers):
+        _tangent_numbers, _tangent_column = _extend_tangents(_tangent_numbers, _tangent_column, m)
     four_m = 4**m
-    value = Fraction(n * tangents[m - 1], four_m * (four_m - 1))
+    value = Fraction(n * _tangent_numbers[m - 1], four_m * (four_m - 1))
     return value if m % 2 else -value
 
 
-def _tangent_table(M: int) -> Tuple[int, ...]:
-    """(T_1, ..., T_M), T_m the coefficient of x^(2m-1)/(2m-1)! in tan x.
+def _extend_tangents(tangents: Tuple[int, ...], column: List[int], M: int) -> Tuple:
+    """(T_1, ..., T_M), T_m the coefficient of x^(2m-1)/(2m-1)! in tan x, and
+    column M of the Brent-Harvey in-place pass, from those of a shorter pass.
 
-    One Brent-Harvey in-place pass: O(M^2) operations on ints, and T_k is
-    final once step k is done, so the pass for M yields every T_m, m <= M.
+    Column j holds c_k = t[j] after outer step k <= j: c_1 = (j - 1) c'_1,
+    c_k = (j - k) c'_k + (j - k + 2) c_{k-1} from column j - 1 (c'_j = 0),
+    and T_j = c_j, so a new T_j costs O(j) int operations and no pass reruns.
     """
-    t = [0, 1] + [0] * (M - 1)
-    for k in range(2, M + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, M + 1):
-        for j in range(k, M + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return tuple(t[1:])
+    table = list(tangents)
+    for j in range(len(tangents) + 1, M + 1):
+        c = (j - 1) * column[0] if column else 1
+        next_column = [c]
+        for k, previous in zip(range(2, j + 1), column[1:] + [0]):
+            c = (j - k) * previous + (j - k + 2) * c
+            next_column.append(c)
+        column = next_column
+        table.append(c)
+    return tuple(table), column
 
 
 def abs_bernoulli(n: int) -> Fraction:
@@ -299,12 +303,12 @@ def mobius_table(N: int) -> List[int]:
 
 
 def clear_caches() -> None:
-    """Empty every cache of this module: bernoulli's with its tangent table,
-    sigma's, jacobi_totient's, factorize's and the kept sieve."""
-    global _tangent_numbers, _sieve
+    """Empty every cache of this module: bernoulli's with its tangent table
+    and column, sigma's, jacobi_totient's, factorize's and the kept sieve."""
+    global _tangent_numbers, _tangent_column, _sieve
     for cached in (bernoulli, sigma, jacobi_totient, factorize):
         cached.cache_clear()
-    _tangent_numbers = ()
+    _tangent_numbers, _tangent_column = (), []
     _sieve = ([0], [0], [0])
 
 

@@ -319,8 +319,11 @@ def taut_projection(g: int, text: str) -> TautClass:
     out-of-scope symbol is refused even as a factor of a product that
     projects to 0.  A term with no symbol or with three or more is
     rejected: only pairwise vanishing of NL-supported cycles is proved,
-    and the API stays honest about it.  g must be an int >= 2.
+    and the API stays honest about it.  g must be an int >= 2, and a text
+    that is not a str is a TypeError, raised before parsing.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"expected an expression string, got {type(text).__name__}")
     terms = []
     for chunk in text.split("+"):
         chunk = chunk.strip()

@@ -121,7 +121,21 @@ def test_bernoulli_tangent_numbers_match_recurrence():
 
 
 def test_tangent_table_matches_per_index_pass():
-    assert arith._tangent_table(200) == tuple(tangent_number(m) for m in range(1, 201))
+    expected = tuple(tangent_number(m) for m in range(1, 201))
+    assert arith._extend_tangents((), [], 200)[0] == expected
+    # grown column by column from a shorter pass, the table is the same
+    assert arith._extend_tangents(*arith._extend_tangents((), [], 120), 200)[0] == expected
+
+
+def test_bernoulli_tangent_table_grows_without_a_new_pass():
+    arith.clear_caches()
+    bernoulli(400)
+    table = arith._tangent_numbers
+    bernoulli(404)
+    # T_1..T_200 are the objects the first pass made, not a rerun's copies
+    assert arith._tangent_numbers[199] is table[199]
+    assert arith._tangent_numbers[:200] == table and len(arith._tangent_numbers) == 202
+    assert len(arith._tangent_column) == 202
 
 
 def test_bernoulli_tangent_table_regrowth():

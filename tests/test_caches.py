@@ -40,5 +40,6 @@ def test_clear_caches_empties_every_cache_and_keeps_values():
     agtaut.clear_caches()
     cleared = cache_sizes()
     assert not any(cleared.values()), {name: n for name, n in cleared.items() if n}
-    assert arith._tangent_numbers == () and arith._sieve == ([0], [0], [0])
+    assert arith._tangent_numbers == () and arith._tangent_column == []
+    assert arith._sieve == ([0], [0], [0])
     assert computed_values() == first

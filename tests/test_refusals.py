@@ -1,5 +1,6 @@
 """Out-of-range arguments refused with a ValueError: one case for each
-refusal that no other test reaches."""
+refusal that no other test reaches; and projection texts of another type
+refused with a TypeError."""
 
 import io
 import json
@@ -44,6 +45,12 @@ REFUSALS = [
 def test_out_of_range_argument_is_refused(func, args):
     with pytest.raises(ValueError):
         func(*args)
+
+
+@pytest.mark.parametrize("text", [5, None, b"NL(2)"], ids=repr)
+def test_projection_text_that_is_not_a_str_is_refused(text):
+    with pytest.raises(TypeError, match=f"got {type(text).__name__}$"):
+        nl.taut_projection(2, text)
 
 
 # Values whose text passes Python's limit on int digits: no cap of the
