@@ -27,9 +27,9 @@ Two independent implementations of the normal form live here:
   A monomial that holds lambda_{g-1} skips the rewrites with
   k + m = g - 1: their child holds lambda_{g-1}^2, and relation(g-1, g) is
   lambda_{g-1}^2 alone, so that child is 0.  Pairing matrices read socle
-  values from one table per genus, filled by the same pruned rewrites, so
-  a state that many entries reach is valued once; their entries are the
-  int socle values themselves.
+  values from one table per genus, filled by a post-order walk over the
+  same pruned rewrites, so a state that many entries reach is valued
+  once; their entries are the int socle values themselves.
 
 * ``oracle_reduce``: localization and duality.  A socle integral is an
   Atiyah-Bott sum over the torus-fixed points of LG_{g-1} (see below and
@@ -69,8 +69,8 @@ from .arith import as_int, as_rational
 # The oracle sums over 2^(g-1) fixed points for every pairing it solves.
 ORACLE_GENUS_CAP = 8
 
-# The middle-degree pairing matrix takes 1.0 s and 74 MB at genus 15, and
-# 3.6 s and 202 MB at genus 16 (Python 3.11, one Xeon core).
+# The middle-degree pairing matrix takes 1.0-1.5 s and 48 MB at genus 15,
+# and 3.9-4.6 s and 135 MB at genus 16 (Python 3.11, one Xeon core).
 PAIRING_GENUS_CAP = 15
 
 ExponentVector = Tuple[int, ...]
@@ -306,8 +306,8 @@ def _read_rewrites(g: int, w: int, rules: list, squares: int) -> tuple:
 def _rewrite_table(g: int):
     """The packed layout of genus g: the digit width w, the rewrites, the
     mask of every digit bit but the lowest, the packed lambda_{g-1}, and
-    the socle values of top-weight monomials in that layout, filled by
-    _pairing_values and shared by every degree of the genus.
+    the int socle values of the top-weight monomials that pairing entries
+    reach, filled by _pairing_values and shared by every degree.
 
     A swept monomial has weight at most g(g-1)/2, so no exponent exceeds
     that and w bits hold each; at least 2, so an exponent of 2 shows
@@ -347,6 +347,13 @@ def _reduce_monomial(g: int, exps: ExponentVector) -> Tuple[Tuple[IndexTuple, in
     _read_rewrites).  Each monomial is thus expanded once, with its
     coefficient final, and only the input is cached.  The square-free
     survivors are the normal form.
+
+    _pairing_values walks the same rewrites depth first into a table kept
+    per genus: a table pays for every state, and this sweep only for the
+    pending levels.  lambda_1^top for every g <= 14 takes the sweep 0.19 s
+    at 16 MB and the table 0.65-0.90 s at 36 MB; the g <= 11 pairing
+    matrices, which share most states, take the table 0.03-0.05 s and a
+    sweep per entry 0.16-0.30 s (Python 3.11, one Xeon core).
     """
     if exps[g - 1] > 0 or _weight(exps) > top_degree(g):
         return ()
@@ -408,7 +415,11 @@ class TautClass(_SparseTerms):
         return multiply(self, other)
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(sorted(indices)), Fraction(0))
+        """Coefficient of lambda_S, S the sorted indices, checked as a
+        constructor key is (a TypeError or a ValueError)."""
+        key = tuple(sorted(indices))
+        self._check_key(key)
+        return self.terms.get(key, Fraction(0))
 
     def _sorted_terms(self) -> List[Tuple[IndexTuple, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
@@ -465,7 +476,11 @@ def _exponents(g: int, indices: Iterable[int]) -> ExponentVector:
 
 
 def multiply(a: TautClass, b: TautClass) -> TautClass:
-    """Ring product: multiply the polynomial lifts, then reduce."""
+    """Ring product: multiply the polynomial lifts, then reduce.  An operand
+    that is not a TautClass is a TypeError."""
+    for operand in (a, b):
+        if not isinstance(operand, TautClass):
+            raise TypeError(f"expected a TautClass, got {type(operand).__name__}")
     a._check_genus(b)
     g = a.g
     lifts = (
@@ -529,17 +544,6 @@ def basis_sets(g: int, k: int) -> Tuple[IndexTuple, ...]:
     full = range(1, g)
     complements = _subsets(min(g - 1, top - k), top - k)
     return tuple(sorted(tuple(i for i in full if i not in s) for s in complements))
-
-
-@lru_cache(maxsize=None)
-def _packed_basis(g: int, k: int) -> Tuple[Tuple[int, int], ...]:
-    """(packed int, q) of each degree-k basis set, in basis_sets order and
-    in genus g's layout (see _rewrite_table): _pack and _q of a square-free
-    monomial, read off its index set."""
-    w = _rewrite_table(g)[0]
-    return tuple(
-        (sum(1 << w * (i - 1) for i in s), sum(i * i for i in s)) for s in basis_sets(g, k)
-    )
 
 
 def socle_pair(a: TautClass, b: TautClass) -> Fraction:
@@ -624,54 +628,45 @@ class PairingMatrix:
 def _pairing_values(g: int, k: int) -> List[List[int]]:
     """Socle values of lambda_S lambda_T, S of degree k and T of the
     complementary degree, read from the genus's table (see _rewrite_table)
-    over the packed basis sets (see _packed_basis).
+    at the sums of the packed basis sets.
 
-    The monomials not valued yet are valued in two passes.  The first
-    collects them and the rewrites they reach, stopping at valued ones, in
-    a list of sets indexed by level (q - q_0)/2, q_0 the least q among
-    them, expanded in order and grown as in _reduce_monomial.  A monomial that holds
-    lambda_{g-1} takes the pruned rewrites, since a child with
-    lambda_{g-1}^2 is 0.  The second pass, in reverse, values each
-    monomial after its rewrites: a square-free one, which at top weight is
-    the socle monomial, gets 1; any other gets 2 * (sum of value(mono +
-    delta) over its plus list - the same over its minus list), so
-    lambda_{g-1}^2, which has no rewrites, gets 0.
+    Monomials not valued yet are valued by one post-order walk on a stack.
+    A popped monomial already valued is skipped; a square-free one (the
+    socle monomial) gets 1; any other is pushed back as ~mono, negative
+    where packed monomials are not, under its unvalued children.  A
+    rewrite raises q (see _q), so no monomial reaches itself, and when
+    ~mono is popped every child is valued: mono gets 2 * (sum of its plus
+    children's values - the same over its minus children).  The pruned
+    rewrites (see _read_rewrites) give lambda_{g-1}^2 no children, so 0.
     """
     w, rules, high, last, table = _rewrite_table(g)
-    rows, cols = _packed_basis(g, k), _packed_basis(g, top_degree(g) - k)
-    fresh = {r + c: qr + qc for r, qr in rows for c, qc in cols if r + c not in table}
-    if fresh:
-        q0 = min(fresh.values())
-        levels = [set() for _ in range((max(fresh.values()) - q0) // 2 + 1)]
-        for mono, q in fresh.items():
-            levels[(q - q0) // 2].add(mono)
-        order = []
-        for level, pending in enumerate(levels):
-            levels[level] = None  # collected: order holds its states now
-            for mono in pending:
-                squares = mono & high
-                if not squares:
-                    order.append((mono, None, None))
-                    continue
-                rule = rules[squares.bit_length()] or _read_rewrites(g, w, rules, squares)
-                plus, minus, reach = rule[mono >= last]
-                if level + reach >= len(levels):
-                    levels += [set() for _ in range(level + reach + 1 - len(levels))]
-                order.append((mono, plus, minus))
-                for delta, step in chain(plus, minus):
-                    if mono + delta not in table:
-                        levels[level + step].add(mono + delta)
-        for mono, plus, minus in reversed(order):
-            if plus is None:
-                table[mono] = 1
-                continue
+    rows, cols = (
+        [sum(1 << w * (i - 1) for i in s) for s in basis_sets(g, d)] for d in (k, top_degree(g) - k)
+    )
+    stack = [r + c for r in rows for c in cols if r + c not in table]
+    while stack:
+        mono = stack.pop()
+        if mono < 0:
+            mono = ~mono
+            plus, minus, _ = rules[(mono & high).bit_length()][mono >= last]
             value = 0
             for delta, _ in plus:
                 value += table[mono + delta]
             for delta, _ in minus:
                 value -= table[mono + delta]
             table[mono] = 2 * value
-    return [[table[r + c] for c, _ in cols] for r, _ in rows]
+            continue
+        if mono in table:
+            continue
+        squares = mono & high
+        if not squares:
+            table[mono] = 1
+            continue
+        rule = rules[squares.bit_length()] or _read_rewrites(g, w, rules, squares)
+        plus, minus, _ = rule[mono >= last]
+        stack.append(~mono)
+        stack += [mono + delta for delta, _ in chain(plus, minus) if mono + delta not in table]
+    return [[table[r + c] for c in cols] for r in rows]
 
 
 def pairing_matrix(g: int, k: int) -> PairingMatrix:
@@ -800,7 +795,6 @@ def clear_caches() -> None:
         graded_dimension,
         _subsets,
         basis_sets,
-        _packed_basis,
         monomials_of_weight,
         _fixed_points,
         _localized_pairing,

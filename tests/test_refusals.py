@@ -1,6 +1,6 @@
 """Out-of-range arguments refused with a ValueError: one case for each
-refusal that no other test reaches; and projection texts of another type
-refused with a TypeError."""
+refusal that no other test reaches; and projection texts and ring product
+operands of another type refused with a TypeError."""
 
 import io
 import json
@@ -51,6 +51,28 @@ def test_out_of_range_argument_is_refused(func, args):
 def test_projection_text_that_is_not_a_str_is_refused(text):
     with pytest.raises(TypeError, match=f"got {type(text).__name__}$"):
         nl.taut_projection(2, text)
+
+
+NON_CLASS_OPERANDS = [
+    (ring.multiply, (ring.TautClass.one(3), 3)),
+    (ring.multiply, (3, ring.TautClass.one(3))),
+    (ring.multiply, (ring.TautClass.one(3), ring.LambdaPolynomial.one(3))),
+    (ring.socle_pair, (ring.TautClass.one(3), 3)),
+    (ring.socle_pair, (3, ring.TautClass.one(3))),
+]
+
+
+@pytest.mark.parametrize(
+    "func,args",
+    NON_CLASS_OPERANDS,
+    ids=[f"{f.__name__}({', '.join(type(a).__name__ for a in args)})" for f, args in NON_CLASS_OPERANDS],
+)
+def test_ring_product_of_a_non_class_is_refused(func, args):
+    # multiply(TautClass.one(3), 3) used to raise AttributeError: 'int'
+    # object has no attribute 'g'.
+    name = next(type(a).__name__ for a in args if not isinstance(a, ring.TautClass))
+    with pytest.raises(TypeError, match=f"got {name}$"):
+        func(*args)
 
 
 # Values whose text passes Python's limit on int digits: no cap of the

@@ -8,6 +8,7 @@ import pytest
 
 import bucket_sweep
 import ideal_slice_elimination
+import level_valuation
 import recursive_basis_sets
 import recursive_rewriting
 from agtaut import ring
@@ -188,6 +189,20 @@ def test_tautclass_validation():
             TautClass.monomial(4, (index,))
 
 
+def test_coefficient_checks_its_key():
+    # coefficient([1.0]) and coefficient([True]) used to return the
+    # coefficient of L(1), and coefficient((1, 1)) returned 0.
+    t = TautClass(3, {(1,): 5})
+    assert t.coefficient([1]) == 5 and t.coefficient((2,)) == 0
+    assert t.coefficient(()) == 0 and t.coefficient([2, 1]) == 0
+    for indices in ([1.0], [True], (1, 2.0)):
+        with pytest.raises(TypeError):
+            t.coefficient(indices)
+    for indices in ((1, 1), (3,), (0,), (-1, 2)):
+        with pytest.raises(ValueError):
+            t.coefficient(indices)
+
+
 def test_ring_classes_reject_a_non_int_genus():
     # TautClass(True, {(): 1}) used to build a class of genus True.
     for g in (True, 3.0):
@@ -354,6 +369,40 @@ def test_pairing_matrix_equals_per_entry_normal_forms():
             random.Random(17).shuffle(degrees)
         for g, k in degrees:
             assert pairing_matrix(g, k).entries == expected[g, k], (g, k, scramble)
+
+
+def test_pairing_matrix_equals_level_valuation():
+    # The two-pass level valuation that the post-order walk replaced is the
+    # reference for every (g, k) with g <= 13; CI checks g = 14 and 15.  It
+    # keeps its own table of values, filled first.  The walk runs once
+    # from an empty table and once, from another empty table, in scrambled
+    # degree order, so each degree meets a different set of valued states.
+    degrees = [(g, k) for g in range(1, 14) for k in range(top_degree(g) + 1)]
+    level_valuation.clear()
+    try:
+        expected = {(g, k): level_valuation.pairing_values(g, k) for g, k in degrees}
+    finally:
+        level_valuation.clear()
+    for scramble in (False, True):
+        ring._rewrite_table.cache_clear()
+        if scramble:
+            random.Random(35).shuffle(degrees)
+        for g, k in degrees:
+            assert pairing_matrix(g, k).entries == expected[g, k], (g, k, scramble)
+
+
+def test_cold_pairing_matrix_holds_no_level_lists():
+    # The walk's memory is the table and a stack of states, with no level
+    # list of sets and no list of every state in order beside them: the
+    # level valuation peaks at 5.0 MiB, the walk at 3.1 MiB (Python 3.11).
+    ring._rewrite_table.cache_clear()
+    tracemalloc.start()
+    try:
+        pairing_matrix(13, 39)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_pairing_matrix_json():
