@@ -5,10 +5,15 @@ prints exact values (rationals always as p/q, never decimals) and is
 byte-identical across runs.  Exit codes: 0 success, 1 usage error,
 2 verification failure.
 
-A query is parsed once: when its first word names a subcommand, that
-subcommand's own parser reads the rest of the line.  Anything else (no
-words, --help, an unknown subcommand) goes through the top-level parser,
-which reports it.  Both routes give the same arguments and messages.
+A query is parsed once.  When its first word names a subcommand and the
+rest is in canonical form (each word an exact flag of that subcommand,
+given once and followed by a value that does not start with "-", or its
+one bare positional), the arguments are read from the subcommand's flag
+table directly, without building a parser.  Any other query goes to
+argparse: the subcommand's own parser when the first word names one,
+else the top-level parser (no words, --help, an unknown subcommand).
+Every route gives the same arguments, and every usage error comes from
+argparse with its text.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import degrees, gw, nl, ring, verify
 from .arith import parse_rational
@@ -194,6 +199,13 @@ COMMANDS: Dict[str, _Command] = {
     ),
 }
 
+# Each subcommand's flag table: add_argument keywords by flag, positionals
+# without a leading "-".  _parser() and _read both read it.
+_FLAGS: Dict[str, Dict[str, dict]] = {
+    name: {"--g": _INT, **command.flags, "--json": dict(action="store_true")}
+    for name, command in COMMANDS.items()
+}
+
 
 @lru_cache(maxsize=None)
 def _parser() -> Tuple[_Parser, Dict[str, _Parser]]:
@@ -202,9 +214,8 @@ def _parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     parser = _Parser(prog="agtaut", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
     subparsers = {}
-    for name, command in COMMANDS.items():
-        p = subparsers[name] = sub.add_parser(name, help=command.help)
-        flags = {"--g": _INT, **command.flags, "--json": dict(action="store_true")}
+    for name, flags in _FLAGS.items():
+        p = subparsers[name] = sub.add_parser(name, help=COMMANDS[name].help)
         # positionals first: argparse names missing arguments in this order
         for flag in sorted(flags, key=lambda f: f.startswith("-")):
             p.add_argument(flag, **flags[flag])
@@ -216,8 +227,54 @@ def _parser() -> Tuple[_Parser, Dict[str, _Parser]]:
     return parser, subparsers
 
 
+def _read(name: str, words: List[str]) -> Optional[argparse.Namespace]:
+    """The arguments of subcommand `name` when its words are in canonical
+    form, read from its flag table as argparse would read them; None for
+    any other query.  Each value must pass its flag's type and choices, and
+    every required argument must be present; an absent flag takes its
+    default."""
+    flags = _FLAGS[name]
+    given: Dict[str, str] = {}
+    words = iter(words)
+    for word in words:
+        if not word.startswith("-"):  # a bare word fills the next positional
+            flag = next((f for f in flags if f[0] != "-" and f not in given), None)
+            value = word
+        elif "action" in flags.get(word, {}):  # the --json switch
+            flag, value = word, ""
+        else:
+            flag, value = word, next(words, "-")
+            if value.startswith("-"):
+                return None
+        if flag not in flags or flag in given:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=name)
+    for flag, spec in flags.items():
+        if "action" in spec:
+            value = flag in given
+        elif flag in given:
+            try:
+                value = spec.get("type", str)(given[flag])
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        elif spec.get("required") or flag[0] != "-":
+            return None
+        else:
+            value = spec.get("default")
+        setattr(args, flag.lstrip("-"), value)
+    return args
+
+
 def _parse(argv: List[str]) -> argparse.Namespace:
-    """The arguments of one query, parsed by a single parser."""
+    """The arguments of one query: read directly when it is a subcommand's
+    query in canonical form, else parsed by a single argparse parser."""
+    if argv and argv[0] in _FLAGS:
+        args = _read(argv[0], argv[1:])
+        if args is not None:
+            return args
     parser, subparsers = _parser()
     subparser = subparsers.get(argv[0]) if argv else None
     if subparser is None:

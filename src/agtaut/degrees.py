@@ -89,11 +89,16 @@ class PolarizationType:
     def product(self) -> int:
         return math.prod(self.entries)
 
-    def padded(self, length: int) -> "PolarizationType":
-        """Left-pad with 1 entries up to the given length."""
+    def padding(self, length: int) -> int:
+        """The number of leading 1 entries that pad the chain to the given
+        length; a chain longer than that is a ValueError."""
         if self.u > length:
             raise ValueError(f"type {self} longer than {length}")
-        return PolarizationType((1,) * (length - self.u) + self.entries)
+        return length - self.u
+
+    def padded(self, length: int) -> "PolarizationType":
+        """Left-pad with 1 entries up to the given length."""
+        return PolarizationType((1,) * self.padding(length) + self.entries)
 
     def p_part(self, p: int) -> "PolarizationType":
         """Entrywise p-power part; again a divisibility chain."""
@@ -190,12 +195,14 @@ def deg_phi_special(g: int, h: int, d: int) -> int:
 
 def deg_phi(g: int, delta) -> int:
     """Closed-form degree for an arbitrary chain (shorter chains are padded
-    with leading 1 entries up to length g): prod_j d_j^(2g+1-2j) J_2j(d_j)."""
+    with leading 1 entries up to length g): prod_j d_j^(2g+1-2j) J_2j(d_j).
+    A padding entry contributes 1, so only the chain's own u entries, at
+    positions j = g-u+1..g, are multiplied: the cost follows u, not g."""
     g = as_int(g)
-    delta = PolarizationType(delta).padded(g)
+    delta = PolarizationType(delta)
     return math.prod(
         d_j ** (2 * g + 1 - 2 * j) * jacobi_totient(2 * j, d_j)
-        for j, d_j in enumerate(delta.entries, start=1)
+        for j, d_j in enumerate(delta.entries, start=delta.padding(g) + 1)
     )
 
 

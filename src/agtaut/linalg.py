@@ -15,10 +15,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
+from .arith import as_int
+
 Matrix = List[List["int | Fraction"]]
 
 
 def identity(n: int) -> Matrix:
+    """The n x n identity; a non-int n (a bool) is a TypeError."""
+    n = as_int(n)
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 

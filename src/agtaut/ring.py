@@ -462,8 +462,17 @@ def _extend(g: int, terms: Iterable[tuple], normal_form) -> TautClass:
     )
 
 
+def _expect(cls: type, value):
+    """value itself; a TypeError naming its type when it is not a cls."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def reduce(p: LambdaPolynomial) -> TautClass:
-    """Normal form of a polynomial in the square-free basis."""
+    """Normal form of a polynomial in the square-free basis.  A p that is
+    not a LambdaPolynomial is a TypeError."""
+    p = _expect(LambdaPolynomial, p)
     return _extend(p.g, p.terms.items(), _reduce_monomial)
 
 
@@ -478,10 +487,7 @@ def _exponents(g: int, indices: Iterable[int]) -> ExponentVector:
 def multiply(a: TautClass, b: TautClass) -> TautClass:
     """Ring product: multiply the polynomial lifts, then reduce.  An operand
     that is not a TautClass is a TypeError."""
-    for operand in (a, b):
-        if not isinstance(operand, TautClass):
-            raise TypeError(f"expected a TautClass, got {type(operand).__name__}")
-    a._check_genus(b)
+    _expect(TautClass, a)._check_genus(_expect(TautClass, b))
     g = a.g
     lifts = (
         (_exponents(g, s + t), cs * ct)
@@ -492,6 +498,8 @@ def multiply(a: TautClass, b: TautClass) -> TautClass:
 
 
 def top_degree(g: int) -> int:
+    """The socle degree g(g-1)/2; a non-int g is a TypeError."""
+    g = as_int(g)
     return g * (g - 1) // 2
 
 
@@ -774,9 +782,10 @@ def oracle_reduce(p: LambdaPolynomial) -> TautClass:
     """Normal form by localization and duality.
 
     Independent of the rewriting path.  Requires a homogeneous input of
-    weight at most g(g-1)/2 and genus at most ORACLE_GENUS_CAP.
+    weight at most g(g-1)/2 and genus at most ORACLE_GENUS_CAP.  A p that
+    is not a LambdaPolynomial is a TypeError.
     """
-    g = p.g
+    g = _expect(LambdaPolynomial, p).g
     if g > ORACLE_GENUS_CAP:
         raise ValueError(f"oracle capped at genus {ORACLE_GENUS_CAP}, got {g}")
     weights = p.weights()

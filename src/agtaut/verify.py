@@ -176,10 +176,12 @@ def _check_convolution_identity(g: int, sigma_1: List[int]) -> int:
     evaluated on int: the convolution is equal term by term to
     (sigma_1 * n J_{2g-2}(n))(d), because d sigma_{-1}(m) J(d/m) = sigma_1(m)
     (d/m) J(d/m).  Returns the number of d checked.  One genus per call, so
-    none of its tables is held beside the next genus's (peak memory)."""
+    none of its tables is held beside the next genus's, and the weighted
+    table is dropped before the expected one is built (peak memory)."""
     N = len(sigma_1)
     weighted = [n * t for n, t in enumerate(jacobi_totient_table(2 * g - 2, N), 1)]
     convolution = dirichlet_convolve(sigma_1, weighted)
+    del weighted
     if convolution != sigma_table(2 * g - 1, N):
         expected = sigma_table(2 * g - 1, N)
         d = next(d for d, (a, b) in enumerate(zip(convolution, expected), 1) if a != b)

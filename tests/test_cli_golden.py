@@ -5,6 +5,7 @@ its dispatch became table-driven; any change in rendering fails here.
 """
 
 import io
+import random
 import re
 import shlex
 
@@ -155,8 +156,48 @@ USAGE_ERRORS = [
     "verify --suite x --all",
 ]
 
+
+def _variants(argv, rng):
+    """Seeded rewrites of a golden query: its words in another order
+    (diagnose's positional in every place), and forms that argparse reads
+    or refuses in its own way."""
+    name, words, groups = argv[0], argv[1:], []
+    while words:  # a flag with its value, --json alone, or diagnose's positional
+        size = 2 if words[0].startswith("--") and words[0] != "--json" else 1
+        groups.append(words[:size])
+        words = words[size:]
+    pairs = [g for g in groups if len(g) == 2]
+
+    def flat(gs):
+        return [name] + [w for g in gs for w in g]
+
+    def rewrite(make, among=pairs):
+        pair = rng.choice(among)
+        return flat(make(*pair) if g is pair else g for g in groups)
+
+    variants = [
+        flat(rng.sample(groups, len(groups))),
+        flat(groups + [rng.choice(pairs)]),  # a repeated flag
+        flat(groups + [["--js"]]),  # an abbreviation
+        rewrite(lambda flag, value: [f"{flag}={value}"]),
+        rewrite(lambda flag, value: [flag, "-" + value]),
+        rewrite(lambda flag, value: [flag, ""]),
+        rewrite(lambda flag, value: [flag, "x"]),
+        rewrite(lambda flag, value: []),  # a missing flag
+        rewrite(lambda flag, value: [flag, value, "--bogus", value]),
+    ]
+    long_flags = [p for p in pairs if len(p[0]) > 3]
+    if long_flags:
+        variants.append(rewrite(lambda flag, value: [flag[:-1], value], long_flags))
+    if name == "diagnose":
+        variants += [flat(pairs[:i] + [["nl-composition"]] + pairs[i:]) for i in range(len(pairs) + 1)]
+    return variants
+
+
 DISPATCHED = [shlex.split(c) + j for c, _, _ in GOLDEN for j in ([], ["--json"])]
 DISPATCHED += [shlex.split(c) for c in USAGE_ERRORS] + [["verify", "--list"]]
+_rng = random.Random(36)
+DISPATCHED += [v for c, _, _ in GOLDEN for v in _variants(shlex.split(c), _rng)]
 
 
 def _top_level_parse(argv):
@@ -176,3 +217,9 @@ def test_subcommand_dispatch_matches_the_top_level_parser(argv, monkeypatch):
             assert cli._parse(argv) == expected
     monkeypatch.setattr(cli, "_parse", _top_level_parse)
     assert invoke(argv) == direct
+
+
+def test_a_canonical_query_builds_no_parser():
+    cli._parser.cache_clear()
+    assert run(["sp-order", "--g", "1", "--n", "2"], out=io.StringIO()) == 0
+    assert cli._parser.cache_info().currsize == 0

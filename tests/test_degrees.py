@@ -8,6 +8,7 @@ import pytest
 import displayed_forms
 import symplectic_enumeration
 from agtaut import degrees
+from agtaut.arith import jacobi_totient
 from agtaut.cli import run
 from agtaut.degrees import (
     PolarizationType,
@@ -125,6 +126,21 @@ def test_deg_phi_values():
     # a longer chain is refused, printed as the type prints
     with pytest.raises(ValueError, match=r"^type \(1,2\) longer than 1$"):
         deg_phi(1, (1, 2))
+
+
+def test_deg_phi_multiplies_only_the_chain_entries():
+    # the padded product, g factors, on every chain with entries <= 12 that fits
+    for chain in _chains(12, 8):
+        for g in range(len(chain), 9):
+            padded = (1,) * (g - len(chain)) + chain
+            expected = 1
+            for j, d_j in enumerate(padded, start=1):
+                expected *= d_j ** (2 * g + 1 - 2 * j) * jacobi_totient(2 * j, d_j)
+            assert deg_phi(g, chain) == expected, (g, chain)
+    # padding to g = 10^9 used to take g loop steps and g cache entries
+    entries = jacobi_totient.cache_info().currsize
+    assert deg_phi(10**9, (1,)) == 1
+    assert jacobi_totient.cache_info().currsize <= entries + 1
 
 
 def test_deg_phi_special_equals_general():

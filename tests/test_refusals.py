@@ -1,7 +1,9 @@
 """Out-of-range arguments refused with a ValueError: one case for each
-refusal that no other test reaches; and projection texts and ring product
-operands of another type refused with a TypeError."""
+refusal that no other test reaches; projection texts, ring product
+operands and normal-form inputs of another type refused with a TypeError;
+and a wrong-type probe of every public module-level function."""
 
+import inspect
 import io
 import json
 import sys
@@ -9,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from agtaut import arith, degrees, gw, nl, ring
+from agtaut import arith, degrees, gw, linalg, nl, ring
 from agtaut.cli import run
 
 REFUSALS = [
@@ -73,6 +75,72 @@ def test_ring_product_of_a_non_class_is_refused(func, args):
     name = next(type(a).__name__ for a in args if not isinstance(a, ring.TautClass))
     with pytest.raises(TypeError, match=f"got {name}$"):
         func(*args)
+
+
+@pytest.mark.parametrize("func", [ring.reduce, ring.oracle_reduce], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p", [3, None, ring.TautClass.one(3)], ids=lambda p: type(p).__name__)
+def test_normal_form_of_a_non_polynomial_is_refused(func, p):
+    # reduce(3) used to raise AttributeError: 'int' object has no attribute
+    # 'g', and reduce(TautClass.one(3)) IndexError.
+    with pytest.raises(TypeError, match=f"^expected a LambdaPolynomial, got {type(p).__name__}$"):
+        func(p)
+
+
+# The wrong-type probe: every public module-level function of the library
+# modules gets, in each required position in turn, each of WRONG_VALUES
+# while its other arguments stay valid.  A call may return (bernoulli(0) is
+# B_0) or raise TypeError or ValueError, nothing else; at a parameter
+# annotated int, every value that is not an int must be refused.
+PROBED_MODULES = (arith, degrees, gw, linalg, nl, ring)
+WRONG_VALUES = [None, 1.5, True, "x", b"x", [1], ring.TautClass.one(3), Fraction(1, 2), -1, 0]
+VALID_BY_NAME = dict(
+    value=2, text="1/2", k=2, n=6, N=6, g=3, p=2, h=1, d=2, d1=1, d2=2, D=4, u=1, i=1, w=2,
+    delta=(2,), exponents=(0, 1), rows=[[1, 0], [0, 1]], psi_lambda_integral=Fraction(1, 2),
+)
+# Valid calls where a parameter's name does not fix a valid value.
+VALID_CALLS = {
+    arith.as_list: ([1],),
+    arith.dirichlet_convolve: ([1, 1], [1, 1]),
+    degrees.deg_phi_stratified: (2, (1, 2), 2),
+    linalg.mat_mul: ([[1]], [[1]]),
+    nl.taut_nl_pair_special: (4, 1, 2),
+    nl.taut_projection: (3, "NL(2)"),
+    ring.relation: (1, 3),
+    ring.reduce: (ring.LambdaPolynomial.monomial(3, [1]),),
+    ring.oracle_reduce: (ring.LambdaPolynomial.monomial(3, [1]),),
+    ring.multiply: (ring.TautClass.one(3), ring.TautClass.one(3)),
+    ring.socle_pair: (ring.TautClass.one(3), ring.TautClass.one(3)),
+}
+PROBED = [
+    func
+    for module in PROBED_MODULES
+    for name, func in vars(module).items()
+    if not name.startswith("_")
+    and inspect.isfunction(inspect.unwrap(func))
+    and func.__module__ == module.__name__
+    and inspect.signature(func).parameters
+]
+
+
+@pytest.mark.parametrize("func", PROBED, ids=lambda f: f"{f.__module__}.{f.__name__}")
+def test_wrong_type_argument_is_refused(func):
+    params = inspect.signature(func).parameters.values()
+    args = VALID_CALLS.get(func) or tuple(VALID_BY_NAME[p.name] for p in params)
+    func(*args)
+    leaks = []
+    for position, param in enumerate(params):
+        for value in WRONG_VALUES:
+            call = args[:position] + (value,) + args[position + 1 :]
+            try:
+                func(*call)
+            except (TypeError, ValueError):
+                continue
+            except Exception as exc:
+                leaks.append(f"{func.__name__}{call!r} raised {exc!r}")
+            else:
+                if param.annotation == "int" and type(value) is not int:
+                    leaks.append(f"{func.__name__}{call!r} returned")
+    assert leaks == []
 
 
 # Values whose text passes Python's limit on int digits: no cap of the
