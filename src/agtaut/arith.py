@@ -183,10 +183,13 @@ def abs_bernoulli(n: int) -> Fraction:
 
 
 def _sigma_prime_power(k: int, p: int, e: int) -> int:
-    """sigma_k(p^e) = (p^(k(e+1)) - 1) / (p^k - 1) for k >= 0 (e + 1 at k = 0)."""
+    """sigma_k(p^e) = (p^(k(e+1)) - 1) / (p^k - 1) for k >= 0 (e + 1 at k = 0),
+    p^k + 1 at e = 1 without the division."""
     if k == 0:
         return e + 1
     pk = p**k
+    if e == 1:
+        return pk + 1
     return (pk ** (e + 1) - 1) // (pk - 1)
 
 
@@ -300,6 +303,16 @@ def jacobi_totient_table(k: int, N: int) -> List[int]:
 def mobius_table(N: int) -> List[int]:
     """[mu(n) for n = 1..N]."""
     return _multiplicative_table(_mobius_prime_power, N)
+
+
+def prime_powers(N: int) -> List[int]:
+    """The prime powers p^e <= N (e >= 1) in increasing order, read from the
+    kept sieve: the n >= 2 whose cofactor is 1."""
+    N = as_int(N)
+    if N < 1:
+        raise ValueError(f"prime_powers requires N >= 1, got {N}")
+    cofactor = _prime_power_sieve(N)[2]
+    return [n for n in range(2, N + 1) if cofactor[n] == 1]
 
 
 def clear_caches() -> None:

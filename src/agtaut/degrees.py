@@ -267,22 +267,28 @@ def deg_phi_crt(g: int, delta) -> int:
 # -- degree of the level-forgetting cover -----------------------------------
 
 
-def _chain_correction(delta: PolarizationType) -> Tuple[int, int]:
+def _chain_correction(delta: PolarizationType, n: int) -> Tuple[int, int]:
     """prod_k d_k^(2n - 4k + 2) * prod_{1 <= i < j <= n} prod_{p | d_j / d_i}
-    (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1))), with n the chain length, as an
-    int numerator and a positive int denominator: a negative d_k exponent
-    goes to the denominator, and the pair factor is r^2 J_{2(j-i)}(r) /
-    J_{2(j-i+1)}(r) with r = d_j / d_i (1 when r = 1)."""
-    entries = delta.entries
-    n = len(entries)
+    (1 - p^(-2(j-i))) / (1 - p^(-2(j-i+1))) for delta padded with leading 1
+    entries to length n, as an int numerator and a positive int
+    denominator: a negative d_k exponent goes to the denominator, and the
+    pair factor is r^2 J_{2(j-i)}(r) / J_{2(j-i+1)}(r) with r = d_j / d_i (1
+    when r = 1).  The padding is never built: a padding entry's own power is
+    1, and over the padding positions i = 1..P the pair factors of a chain
+    entry at j telescope to r^(2P) J_{2(j-P)}(r) / J_{2j}(r) with r = d_j,
+    so the cost follows the chain, not n."""
+    P = delta.padding(n)
     num = den = 1
-    for k, d_k in enumerate(entries, start=1):
+    for k, d_k in enumerate(delta.entries, start=P + 1):
         e = 2 * n - 4 * k + 2
         if e >= 0:
             num *= d_k**e
         else:
             den *= d_k**-e
-    for (i, d_i), (j, d_j) in combinations(enumerate(entries), 2):
+        if P and d_k > 1:
+            num *= d_k ** (2 * P) * jacobi_totient(2 * (k - P), d_k)
+            den *= jacobi_totient(2 * k, d_k)
+    for (i, d_i), (j, d_j) in combinations(enumerate(delta.entries), 2):
         r = d_j // d_i
         if r > 1:
             s = 2 * (j - i)
@@ -292,13 +298,16 @@ def _chain_correction(delta: PolarizationType) -> Tuple[int, int]:
 
 
 def deg_pi(g: int, delta) -> int:
-    """deg_pi = deg_phi times the correction with d_k exponent 2g - 4k + 2."""
+    """deg_pi = deg_phi times the correction with d_k exponent 2g - 4k + 2,
+    delta padded with leading 1 entries to length g."""
     g = as_int(g)
-    delta = PolarizationType(delta).padded(g)
-    num, den = _chain_correction(delta)
+    delta = PolarizationType(delta)
+    num, den = _chain_correction(delta, g)
     num *= deg_phi(g, delta)
     if num % den:
-        raise AssertionError(f"deg_pi({g}, {delta}) is not an integer: {Fraction(num, den)}")
+        raise AssertionError(
+            f"deg_pi({g}, {delta.padded(g)}) is not an integer: {Fraction(num, den)}"
+        )
     return num // den
 
 
@@ -345,7 +354,7 @@ def nl_constant(g: int, delta) -> Fraction:
     u = delta.u
     if 2 * u > g:
         raise ValueError(f"type {delta} too long for genus {g}")
-    num, den = _chain_correction(delta)
+    num, den = _chain_correction(delta, u)
     return Fraction(num * deg_phi(g - u, delta), den)
 
 

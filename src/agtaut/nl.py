@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress
 from math import gcd, lcm, prod
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .arith import (
     RATIONAL_PATTERN,
@@ -43,6 +43,7 @@ from .arith import (
     jacobi_totient,
     mobius_table,
     parse_rational,
+    prime_powers,
     sigma,
     sigma_table,
 )
@@ -61,10 +62,11 @@ class QSeries:
     common denominator, the least one: gcd(denominator, *numerators) == 1.
     So two series are equal exactly when their ints are, whichever
     constructor built them.  coeffs and coefficient(d) give Fractions;
-    str() and to_json_dict() format straight from the ints.
+    str() and to_json_dict() format straight from the ints, with a gcd only
+    for the coefficients flagged as maybe reducible.
     """
 
-    __slots__ = ("numerators", "denominator")
+    __slots__ = ("numerators", "denominator", "_reducible")
 
     def __init__(self, coeffs: Sequence):
         if not coeffs:
@@ -73,16 +75,18 @@ class QSeries:
         den = lcm(*(c.denominator for c in values))
         self.numerators = tuple(c.numerator * (den // c.denominator) for c in values)
         self.denominator = den
+        # each c is in lowest terms, so n / den reduces exactly when c's
+        # denominator is less than den
+        self._reducible = bytes(c.denominator != den for c in values)
 
     @classmethod
-    def _over(cls, numerators: List[int], den: int) -> "QSeries":
-        """The series numerators[d] / den, den > 0, in least terms."""
-        common = gcd(den, *numerators)
-        if common > 1:
-            numerators = [n // common for n in numerators]
+    def _lowest(cls, numerators: List[int], den: int, reducible: bytes) -> "QSeries":
+        """The series numerators[d] / den, den > 0 and gcd(den, *numerators)
+        == 1, where reducible[d] is 0 only if gcd(numerators[d], den) == 1."""
         series = cls.__new__(cls)
         series.numerators = tuple(numerators)
-        series.denominator = den // common
+        series.denominator = den
+        series._reducible = reducible
         return series
 
     @property
@@ -105,23 +109,21 @@ class QSeries:
             and self.numerators == other.numerators
         )
 
-    def _texts(self) -> Iterator[str]:
-        """str(Fraction(n, denominator)) for each numerator n in turn, from
-        one gcd each and none when the denominator is 1."""
-        den = self.denominator
+    def _texts(self) -> List[str]:
+        """[str(Fraction(n, denominator)) for each numerator n]: a gcd for
+        each coefficient that may reduce, none for the others or when the
+        denominator is 1."""
+        numerators, den = self.numerators, self.denominator
         if den == 1:
-            return map(str, self.numerators)
-        return (
-            f"{n}/{den}"
-            if common == 1
-            else str(n // den)
-            if common == den
-            else f"{n // common}/{den // common}"
-            for n, common in zip(self.numerators, map(gcd, self.numerators, repeat(den)))
-        )
+            return list(map(str, numerators))
+        tail = f"/{den}"
+        texts = [f"{n}{tail}" for n in numerators]
+        for d in compress(range(len(texts)), self._reducible):
+            texts[d] = _fraction_text(numerators[d], den)
+        return texts
 
     def __str__(self) -> str:
-        numerators, texts = self.numerators, self._texts()
+        numerators, texts = self.numerators, iter(self._texts())
         bits = [next(texts)]
         if len(numerators) > 1:
             n, text = numerators[1], next(texts)
@@ -138,7 +140,13 @@ class QSeries:
         return f"QSeries(order={self.order}, {self})"
 
     def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": list(self._texts())}
+        return {"order": self.order, "coeffs": self._texts()}
+
+
+def _fraction_text(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0."""
+    common = gcd(n, den)
+    return str(n // den) if common == den else f"{n // common}/{den // common}"
 
 
 # -- product cycles and NL projections ------------------------------------
@@ -271,8 +279,15 @@ def eisenstein_series(g: int, D: int) -> QSeries:
     -(4g / B_2g) sigma_{2g-1}(d).  With sign(B_2g) = (-1)^(g+1) this is
     exactly 24 (-1)^g times the lambda_{g-1} coefficient of the projected
     degree-d tilde cycle.  With the lead -4g / B_2g = p/q in lowest terms,
-    the series is [q] + [p sigma_{2g-1}(d)] over q, all on int.  D above
-    EISENSTEIN_ORDER_CAP is refused before any table is built.
+    the series is [q] + [p sigma_{2g-1}(d)] over q, all on int, and already
+    in lowest terms for D >= 1: q and p sigma_{2g-1}(1) = p are coprime.
+
+    A coefficient p sigma(d) / q reduces exactly when gcd(sigma(d), q) > 1.
+    As sigma is multiplicative, some p'^e || d then has gcd(sigma(p'^e), q)
+    > 1, so one gcd per prime power r <= D finds every coefficient that may
+    reduce: the multiples of each such r.  Only those get a gcd when the
+    series is printed.  D above EISENSTEIN_ORDER_CAP is refused before any
+    table is built.
     """
     g, D = as_int(g), as_int(D)
     if g < 2 or D < 0:
@@ -280,9 +295,17 @@ def eisenstein_series(g: int, D: int) -> QSeries:
     if D > EISENSTEIN_ORDER_CAP:
         raise ValueError(f"Eisenstein order {D} exceeds cap {EISENSTEIN_ORDER_CAP}")
     lead = Fraction(-4 * g) / bernoulli(2 * g)
+    if not D:
+        return QSeries([1])
     p, q = lead.numerator, lead.denominator
-    numerators = [q] + ([p * s for s in sigma_table(2 * g - 1, D)] if D else [])
-    return QSeries._over(numerators, q)
+    sigmas = sigma_table(2 * g - 1, D)
+    reducible = bytearray(D + 1)
+    reducible[0] = 1
+    if q > 1:
+        for r in prime_powers(D):
+            if gcd(sigmas[r - 1], q) > 1:
+                reducible[r::r] = b"\x01" * (D // r)
+    return QSeries._lowest([q] + [p * s for s in sigmas], q, reducible)
 
 
 # -- the projection calculus --------------------------------------------------

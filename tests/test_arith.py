@@ -23,6 +23,7 @@ from agtaut.arith import (
     mobius,
     mobius_table,
     parse_rational,
+    prime_powers,
     sigma,
     sigma_table,
 )
@@ -204,16 +205,35 @@ def test_sigma_matches_divisor_sum():
 
 def test_tables_match_sieve_over_multiples():
     # The range the eisenstein-identity suite read from the scalar functions:
-    # sigma_1, sigma_{2g-1} and J_{2g-2} for g <= 10 and n <= 10^4; plus the
+    # sigma_1, sigma_{2g-1} and J_{2g-2} for g <= 10 and n <= 10^4; the
+    # sigma_{2g-1} of eisenstein up to g = 16 and one large g = 30; the
     # smallest k each table takes, and mu.
     N = 10**4
-    cases = [(sigma_table, sigma_over_multiples, k) for k in (0, 1, *range(3, 20, 2))]
+    cases = [(sigma_table, sigma_over_multiples, k) for k in (0, 1, *range(3, 32, 2), 59)]
     cases += [(jacobi_totient_table, jacobi_totient_over_multiples, k) for k in (1, *range(2, 19, 2))]
     for table, reference, k in cases:
         values = table(k, N)
         assert values == reference(k, N), (table.__name__, k)
         assert all(type(v) is int for v in values), (table.__name__, k)
     assert mobius_table(N) == mobius_over_multiples(N)
+
+
+def test_prime_powers_match_factorize():
+    for N in (1, 2, 3, 4, 10, 97, 1000):
+        expected = [n for n in range(2, N + 1) if len(factorize(n)) == 1]
+        assert prime_powers(N) == expected, N
+    # read from a kept sieve longer than N
+    arith.clear_caches()
+    sigma_table(1, 1000)
+    sieve = arith._sieve
+    assert prime_powers(16) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+    assert arith._sieve is sieve
+    for N in (0, -3):
+        with pytest.raises(ValueError):
+            prime_powers(N)
+    for N in (True, 4.0, "4"):
+        with pytest.raises(TypeError):
+            prime_powers(N)
 
 
 def test_tables_edges():

@@ -258,8 +258,25 @@ def test_chain_correction_matches_displayed_form():
     chains = _chains(60, 4)
     assert len(chains) == 2739
     for chain in chains:
-        num, den = degrees._chain_correction(PolarizationType(chain))
+        num, den = degrees._chain_correction(PolarizationType(chain), len(chain))
         assert den > 0 and Fraction(num, den) == displayed_forms.chain_correction(chain), chain
+    # padded to every length n <= 10: the telescoped padding pairs against
+    # the walk over all n(n-1)/2 index pairs of the padded chain
+    cases = 0
+    for chain in _chains(12, 5):
+        for n in range(len(chain) + 1, 11):
+            padded = (1,) * (n - len(chain)) + chain
+            num, den = degrees._chain_correction(PolarizationType(chain), n)
+            assert den > 0 and Fraction(num, den) == displayed_forms.chain_correction(padded), (chain, n)
+            cases += 1
+    assert cases == 2784
+
+
+def test_deg_pi_cost_follows_the_chain():
+    # padding to g = 10^9 used to walk g^2 / 2 index pairs
+    entries = jacobi_totient.cache_info().currsize
+    assert deg_pi(10**9, (1,)) == 1
+    assert jacobi_totient.cache_info().currsize <= entries + 1
 
 
 def test_deg_pi_refuses_a_non_integral_value(monkeypatch):
@@ -267,6 +284,9 @@ def test_deg_pi_refuses_a_non_integral_value(monkeypatch):
     monkeypatch.setattr(degrees, "deg_phi", lambda g, delta: 1)
     with pytest.raises(AssertionError, match=r"deg_pi\(2, \(1,2\)\) is not an integer: 1/5"):
         deg_pi(2, (1, 2))
+    # a short chain is named padded to length g
+    with pytest.raises(AssertionError, match=r"deg_pi\(5, \(1,1,1,1,2\)\) is not an integer: 1/341"):
+        deg_pi(5, (1, 2))
 
 
 def test_deg_pi_is_kernel_symplectic_order():

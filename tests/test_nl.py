@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -309,6 +310,35 @@ def test_eisenstein_matches_fraction_multiply_route():
             assert QSeries(expected) == series, (g, order)
 
 
+def test_eisenstein_prints_every_coefficient_in_lowest_terms():
+    # only the coefficients flagged as reducible get a gcd when printed; an
+    # unflagged one must already be in lowest terms
+    cases = [(g, 2000) for g in range(2, 31)] + [(50, 300), (100, 300)]
+    for g, order in cases:
+        series = eisenstein_series(g, order)
+        den, reducible = series.denominator, series._reducible
+        texts = series.to_json_dict()["coeffs"]
+        assert texts == [str(Fraction(n, den)) for n in series.numerators], g
+        assert len(reducible) == order + 1, g
+        unflagged = [n for n, flag in zip(series.numerators, reducible) if not flag]
+        assert all(gcd(n, den) == 1 for n in unflagged), g
+
+
+def test_eisenstein_flags_a_coefficient_that_reduces():
+    # 691 divides both the lead's denominator at g = 6 and sigma_11(1381) =
+    # 1381^11 + 1, so the q^1381 coefficient reduces, through the gcd branch
+    assert sigma(11, 1381) % 691 == 0
+    for order in (1381, 1500):
+        series = eisenstein_series(6, order)
+        assert series.denominator == 691
+        assert series._reducible[1381]
+        assert series.coefficient(1381).denominator == 1
+        assert series.to_json_dict()["coeffs"][1381] == str(series.coefficient(1381))
+    # below q^1500 no other prime power's sigma_11 meets 691
+    flagged = [d for d, flag in enumerate(eisenstein_series(6, 1500)._reducible) if flag]
+    assert flagged == [0, 1381]
+
+
 def test_qseries_text_matches_fraction_text():
     # zero, negative and partly reducible coefficients at every position,
     # the q term (d = 1) included
@@ -321,6 +351,11 @@ def test_qseries_text_matches_fraction_text():
             series = QSeries(coeffs)
             assert str(series) == fraction_series_text(coeffs), coeffs
             assert series.to_json_dict()["coeffs"] == [str(c) for c in coeffs], coeffs
+            # built from its coefficients, a series flags exactly those
+            # that reduce over its denominator
+            assert list(series._reducible) == [
+                gcd(n, series.denominator) > 1 for n in series.numerators
+            ], coeffs
 
 
 def test_eisenstein_order_cap():
