@@ -10,12 +10,13 @@ All arithmetic is exact rational; there is no floating point anywhere.
 Each name is imported from its module; the package holds only clear_caches.
 """
 
-from . import arith, ring
+from . import arith, nl, ring
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every cache of computed values: arith's and ring's."""
+    """Empty every cache of computed values: arith's, nl's and ring's."""
     arith.clear_caches()
+    nl.clear_caches()
     ring.clear_caches()

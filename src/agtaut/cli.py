@@ -304,10 +304,12 @@ def run(argv: List[str], out=None, err=None) -> int:
         if args.command == "verify":
             return _verify(args, out)
         result = COMMANDS[args.command].handler(args)
-        if args.json:
-            print(json.dumps(result.to_json_dict(), sort_keys=True), file=out)
-        else:
+        if not args.json:
             print(result, file=out)
+        elif isinstance(result, nl.QSeries):  # its own text, the same bytes
+            print(result.json_text(), file=out)
+        else:
+            print(json.dumps(result.to_json_dict(), sort_keys=True), file=out)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=err)

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm, prod
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .arith import (
     RATIONAL_PATTERN,
@@ -50,9 +50,16 @@ from .arith import (
 from .degrees import PolarizationType, nl_constant
 from .ring import LambdaPolynomial, TautClass, reduce
 
-# Largest truncation order of eisenstein_series: its sigma table, and the
-# prime-power sieve under it, hold a list of order + 1 ints each.
+# Largest truncation order of eisenstein_series: its sigma table, the
+# prime-power sieve under it and each genus's kept series hold order + 1
+# ints each.
 EISENSTEIN_ORDER_CAP = 10**5
+
+# Per genus g, the numerators [q] + [p sigma_{2g-1}(d)] (the first is the
+# denominator q) and the reducible flags of the longest series asked so far;
+# a series no longer reads their prefix.  Both are immutable, so a series
+# may share them.
+_kept_series: Dict[int, Tuple[Tuple[int, ...], bytes]] = {}
 
 
 class QSeries:
@@ -62,8 +69,8 @@ class QSeries:
     common denominator, the least one: gcd(denominator, *numerators) == 1.
     So two series are equal exactly when their ints are, whichever
     constructor built them.  coeffs and coefficient(d) give Fractions;
-    str() and to_json_dict() format straight from the ints, with a gcd only
-    for the coefficients flagged as maybe reducible.
+    str(), to_json_dict() and json_text() format straight from the ints,
+    with a gcd only for the coefficients flagged as maybe reducible.
     """
 
     __slots__ = ("numerators", "denominator", "_reducible")
@@ -80,7 +87,7 @@ class QSeries:
         self._reducible = bytes(c.denominator != den for c in values)
 
     @classmethod
-    def _lowest(cls, numerators: List[int], den: int, reducible: bytes) -> "QSeries":
+    def _lowest(cls, numerators: Sequence[int], den: int, reducible: bytes) -> "QSeries":
         """The series numerators[d] / den, den > 0 and gcd(den, *numerators)
         == 1, where reducible[d] is 0 only if gcd(numerators[d], den) == 1."""
         series = cls.__new__(cls)
@@ -141,6 +148,12 @@ class QSeries:
 
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coeffs": self._texts()}
+
+    def json_text(self) -> str:
+        """json.dumps(self.to_json_dict(), sort_keys=True), joined from the
+        coefficient texts: they hold only digits, '-' and '/', which JSON
+        never escapes."""
+        return '{"coeffs": ["' + '", "'.join(self._texts()) + f'"], "order": {self.order}}}'
 
 
 def _fraction_text(n: int, den: int) -> str:
@@ -286,26 +299,41 @@ def eisenstein_series(g: int, D: int) -> QSeries:
     As sigma is multiplicative, some p'^e || d then has gcd(sigma(p'^e), q)
     > 1, so one gcd per prime power r <= D finds every coefficient that may
     reduce: the multiples of each such r.  Only those get a gcd when the
-    series is printed.  D above EISENSTEIN_ORDER_CAP is refused before any
-    table is built.
+    series is printed.
+
+    Each genus keeps the numerators and flags of the longest series asked
+    so far; a D no longer than that reads their prefix, and a longer D
+    rebuilds them for exactly D.  clear_caches() empties them.  D above
+    EISENSTEIN_ORDER_CAP is refused before any table is built, so the cap
+    bounds the kept series too.
     """
     g, D = as_int(g), as_int(D)
     if g < 2 or D < 0:
         raise ValueError(f"requires g >= 2 and D >= 0, got ({g}, {D})")
     if D > EISENSTEIN_ORDER_CAP:
         raise ValueError(f"Eisenstein order {D} exceeds cap {EISENSTEIN_ORDER_CAP}")
-    lead = Fraction(-4 * g) / bernoulli(2 * g)
+    b_2g = bernoulli(2 * g)  # refuses an index above its cap, even at D = 0
     if not D:
         return QSeries([1])
-    p, q = lead.numerator, lead.denominator
-    sigmas = sigma_table(2 * g - 1, D)
-    reducible = bytearray(D + 1)
-    reducible[0] = 1
-    if q > 1:
-        for r in prime_powers(D):
-            if gcd(sigmas[r - 1], q) > 1:
-                reducible[r::r] = b"\x01" * (D // r)
-    return QSeries._lowest([q] + [p * s for s in sigmas], q, reducible)
+    kept = _kept_series.get(g)
+    if kept is None or D >= len(kept[1]):
+        lead = Fraction(-4 * g) / b_2g
+        p, q = lead.numerator, lead.denominator
+        sigmas = sigma_table(2 * g - 1, D)
+        reducible = bytearray(D + 1)
+        reducible[0] = 1
+        if q > 1:
+            for r in prime_powers(D):
+                if gcd(sigmas[r - 1], q) > 1:
+                    reducible[r::r] = b"\x01" * (D // r)
+        kept = _kept_series[g] = (q, *(p * s for s in sigmas)), bytes(reducible)
+    numerators, reducible = kept
+    return QSeries._lowest(numerators[: D + 1], numerators[0], reducible[: D + 1])
+
+
+def clear_caches() -> None:
+    """Empty the Eisenstein series kept per genus."""
+    _kept_series.clear()
 
 
 # -- the projection calculus --------------------------------------------------

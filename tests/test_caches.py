@@ -15,7 +15,7 @@ def cache_sizes():
 
 
 def computed_values():
-    """Values that between them fill every cache of arith and ring."""
+    """Values that between them fill every cache of arith, nl and ring."""
     g = 5
     top = ring.LambdaPolynomial.monomial(g, (1,) * ring.top_degree(g))
     return (
@@ -37,9 +37,11 @@ def test_clear_caches_empties_every_cache_and_keeps_values():
     filled = cache_sizes()
     assert all(filled.values()), {name: n for name, n in filled.items() if not n}
     assert arith._tangent_numbers and len(arith._sieve[0]) > 1
+    assert list(nl._kept_series) == [3]
     agtaut.clear_caches()
     cleared = cache_sizes()
     assert not any(cleared.values()), {name: n for name, n in cleared.items() if n}
     assert arith._tangent_numbers == () and arith._tangent_column == []
     assert arith._sieve == ([0], [0], [0])
+    assert nl._kept_series == {}
     assert computed_values() == first

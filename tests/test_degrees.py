@@ -61,6 +61,22 @@ def test_sp_order_rejects_genus_below_one():
         assert "g must be >= 1" in err.getvalue()
 
 
+def test_sp_order_refuses_a_genus_above_its_cap(monkeypatch):
+    cap = degrees.SP_ORDER_GENUS_CAP
+    assert cap >= 12  # the largest genus the demos, tests and query stream ask for
+    # refused before any power is built: even N = 1, whose order is 1
+    monkeypatch.setattr(degrees, "factorize", None)
+    monkeypatch.setattr(degrees, "is_prime", None)
+    for f, g, N in ((sp_order, cap + 1, 1), (sp_order, 10**5, 2), (sp_order_prime, cap + 1, 2)):
+        with pytest.raises(ValueError, match=f"^symplectic group genus {g} exceeds cap {cap}$"):
+            f(g, N)
+    err = io.StringIO()
+    assert run(["sp-order", "--g", "100000", "--n", "2"], out=io.StringIO(), err=err) == 1
+    assert err.getvalue() == f"error: symplectic group genus 100000 exceeds cap {cap}\n"
+    monkeypatch.undo()
+    assert sp_order(cap, 2) == sp_order_prime(cap, 2)
+
+
 def test_sp_order_against_enumeration_all_small_moduli():
     for N in range(1, 17):
         assert sp_order(1, N) == symplectic_enumeration.sl2_order_enumerated(N), N

@@ -5,8 +5,9 @@ from math import gcd
 
 import pytest
 
+import agtaut
 import displayed_forms
-from agtaut import degrees, nl
+from agtaut import arith, degrees, nl
 from agtaut.arith import bernoulli, factorize, sigma
 from agtaut.degrees import deg_phi
 from agtaut.linalg import identity, invert, mat_mul
@@ -351,25 +352,77 @@ def test_qseries_text_matches_fraction_text():
             series = QSeries(coeffs)
             assert str(series) == fraction_series_text(coeffs), coeffs
             assert series.to_json_dict()["coeffs"] == [str(c) for c in coeffs], coeffs
+            assert series.json_text() == json.dumps(series.to_json_dict(), sort_keys=True)
             # built from its coefficients, a series flags exactly those
             # that reduce over its denominator
             assert list(series._reducible) == [
                 gcd(n, series.denominator) > 1 for n in series.numerators
             ], coeffs
+    # zero, negative, integer and reducible Fraction coefficients, and a
+    # series of one coefficient
+    for coeffs in (
+        [0],
+        [-7],
+        [Fraction(3, 6)],
+        [1, 0, -2, 5],
+        [Fraction(-4, 6), 0, 3, Fraction(9, 12), Fraction(-8, 4)],
+    ):
+        series = QSeries(coeffs)
+        expected = {"order": len(coeffs) - 1, "coeffs": [str(Fraction(c)) for c in coeffs]}
+        assert series.to_json_dict() == expected, coeffs
+        assert series.json_text() == json.dumps(expected, sort_keys=True), coeffs
 
 
 def test_eisenstein_order_cap():
-    from agtaut import arith
-
-    sieve = arith._sieve
+    agtaut.clear_caches()
+    eisenstein_series(3, 40)
+    kept, sieve = dict(nl._kept_series), arith._sieve
     for order in (nl.EISENSTEIN_ORDER_CAP + 1, 99999999999):
         with pytest.raises(ValueError, match=f"exceeds cap {nl.EISENSTEIN_ORDER_CAP}"):
             eisenstein_series(2, order)
-    # refused before the sigma table, or the sieve under it, is built
+    # refused before the sigma table, or the sieve under it, is built, and
+    # before a series is kept
     assert arith._sieve is sieve
+    assert nl._kept_series == kept and nl._kept_series[3] is kept[3]
     series = eisenstein_series(2, nl.EISENSTEIN_ORDER_CAP)
     assert series.order == nl.EISENSTEIN_ORDER_CAP
     assert series.coefficient(nl.EISENSTEIN_ORDER_CAP) == 240 * sigma(3, nl.EISENSTEIN_ORDER_CAP)
+
+
+def eisenstein_state(series):
+    """Everything a series holds and prints; its JSON text must be the
+    bytes json.dumps gives."""
+    json_text = series.json_text()
+    assert json_text == json.dumps(series.to_json_dict(), sort_keys=True)
+    return series.numerators, series.denominator, bytes(series._reducible), str(series), json_text
+
+
+def test_eisenstein_prefix_of_a_kept_series_equals_the_cold_series():
+    # every genus up to 16 at several orders, and g = 6 where the gcd branch
+    # flags q^1381; each asked cold, then after each other in increasing,
+    # decreasing and shuffled order, so a series is read as a prefix of a
+    # longer kept one or rebuilds it
+    requests = [(g, D) for g in range(2, 17) for D in (0, 1, 2, 5, 40, 200)]
+    requests += [(6, 1381), (6, 1500)]
+    cold = {}
+    for g, D in requests:
+        agtaut.clear_caches()
+        cold[g, D] = eisenstein_state(eisenstein_series(g, D))
+    shuffled = random.Random(38).sample(requests, len(requests))
+    by_order = sorted(requests, key=lambda request: request[1])
+    for ordering in (by_order, by_order[::-1], shuffled):
+        agtaut.clear_caches()
+        returned = []
+        for g, D in ordering:
+            series = eisenstein_series(g, D)
+            assert eisenstein_state(series) == cold[g, D], (g, D)
+            returned.append((series, cold[g, D]))
+        # a longer series asked later leaves those returned before unchanged
+        assert all(eisenstein_state(series) == state for series, state in returned)
+    assert len(nl._kept_series[6][0]) == 1501
+    # with series kept, the Bernoulli cap still refuses order 0
+    with pytest.raises(ValueError, match="Bernoulli index 2064 exceeds cap 2062"):
+        eisenstein_series(1032, 0)
 
 
 def test_qseries_keeps_the_least_common_denominator():
