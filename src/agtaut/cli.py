@@ -7,9 +7,10 @@ byte-identical across runs.  Exit codes: 0 success, 1 usage error,
 
 A query is parsed once.  When its first word names a subcommand and the
 rest is in canonical form (each word an exact flag of that subcommand,
-given once and followed by a value that does not start with "-", or its
-one bare positional), the arguments are read from the subcommand's flag
-table directly, without building a parser.  Any other query goes to
+given once and followed by a value that does not start with "-", or
+joined to its value as --flag=value, or its one bare positional), the
+arguments are read from the subcommand's flag table directly, without
+building a parser.  Any other query goes to
 argparse: the subcommand's own parser when the first word names one,
 else the top-level parser (no words, --help, an unknown subcommand).
 Every route gives the same arguments, and every usage error comes from
@@ -230,9 +231,11 @@ def _parser() -> Tuple[_Parser, Dict[str, _Parser]]:
 def _read(name: str, words: List[str]) -> Optional[argparse.Namespace]:
     """The arguments of subcommand `name` when its words are in canonical
     form, read from its flag table as argparse would read them; None for
-    any other query.  Each value must pass its flag's type and choices, and
-    every required argument must be present; an absent flag takes its
-    default."""
+    any other query.  A value follows its flag as the next word, which must
+    not start with "-", or as --flag=value, where it may be empty or start
+    with "-" (not "--", which argparse drops, and not for the --json
+    switch).  Each value must pass its flag's type and choices, and every
+    required argument must be present; an absent flag takes its default."""
     flags = _FLAGS[name]
     given: Dict[str, str] = {}
     words = iter(words)
@@ -242,9 +245,13 @@ def _read(name: str, words: List[str]) -> Optional[argparse.Namespace]:
             value = word
         elif "action" in flags.get(word, {}):  # the --json switch
             flag, value = word, ""
-        else:
+        elif word in flags:
             flag, value = word, next(words, "-")
             if value.startswith("-"):
+                return None
+        else:  # --flag=value: any value but "--", which argparse drops
+            flag, _, value = word.partition("=")
+            if "action" in flags.get(flag, {}) or value == "--":
                 return None
         if flag not in flags or flag in given:
             return None

@@ -27,8 +27,10 @@ anywhere in this module.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd, lcm, prod
 from typing import Dict, List, Sequence, Tuple
 
@@ -56,10 +58,12 @@ from .ring import LambdaPolynomial, TautClass, reduce
 EISENSTEIN_ORDER_CAP = 10**5
 
 # Per genus g, the numerators [q] + [p sigma_{2g-1}(d)] (the first is the
-# denominator q) and the reducible flags of the longest series asked so far;
-# a series no longer reads their prefix.  Both are immutable, so a series
-# may share them.
-_kept_series: Dict[int, Tuple[Tuple[int, ...], bytes]] = {}
+# denominator q) and the reducible flags of the longest series asked so far,
+# and the _KeptTexts of the coefficients printed so far.  A series no longer
+# reads the prefix of the first two, which are immutable, so it may share
+# them; it holds the texts themselves, which grow only when a series prints
+# past them and pass from a record to the one that rebuilds it.
+_kept_series: Dict[int, Tuple[Tuple[int, ...], bytes, "_KeptTexts"]] = {}
 
 
 class QSeries:
@@ -70,10 +74,12 @@ class QSeries:
     So two series are equal exactly when their ints are, whichever
     constructor built them.  coeffs and coefficient(d) give Fractions;
     str(), to_json_dict() and json_text() format straight from the ints,
-    with a gcd only for the coefficients flagged as maybe reducible.
+    with a gcd only for the coefficients flagged as maybe reducible, or,
+    for a series of eisenstein_series, read the texts its genus keeps and
+    format only the coefficients past them.
     """
 
-    __slots__ = ("numerators", "denominator", "_reducible")
+    __slots__ = ("numerators", "denominator", "_reducible", "_kept")
 
     def __init__(self, coeffs: Sequence):
         if not coeffs:
@@ -85,15 +91,21 @@ class QSeries:
         # each c is in lowest terms, so n / den reduces exactly when c's
         # denominator is less than den
         self._reducible = bytes(c.denominator != den for c in values)
+        self._kept = None
 
     @classmethod
-    def _lowest(cls, numerators: Sequence[int], den: int, reducible: bytes) -> "QSeries":
+    def _lowest(
+        cls, numerators: Sequence[int], den: int, reducible: bytes, kept: "_KeptTexts"
+    ) -> "QSeries":
         """The series numerators[d] / den, den > 0 and gcd(den, *numerators)
-        == 1, where reducible[d] is 0 only if gcd(numerators[d], den) == 1."""
+        == 1, where reducible[d] is 0 only if gcd(numerators[d], den) == 1,
+        printed through kept, the texts of a longer or shorter prefix of
+        the same coefficients."""
         series = cls.__new__(cls)
         series.numerators = tuple(numerators)
         series.denominator = den
         series._reducible = reducible
+        series._kept = kept
         return series
 
     @property
@@ -116,18 +128,23 @@ class QSeries:
             and self.numerators == other.numerators
         )
 
+    def _json_body(self) -> str:
+        """The coefficient texts joined by '", "'.  A series with kept texts
+        formats only the coefficients past them, adds those to them and
+        reads its prefix; kept texts with an int wider than the current
+        limit on int digits are not read, so formatting raises as without
+        them."""
+        numerators, den, kept = self.numerators, self.denominator, self._kept
+        limit = sys.get_int_max_str_digits()
+        if kept is None or limit and kept.digits > limit:
+            return '", "'.join(_coefficient_texts(numerators, den, self._reducible))
+        start = len(kept.ends)
+        if start < len(numerators):
+            kept.extend(numerators[start:], den, self._reducible[start:])
+        return kept.body[: kept.ends[len(numerators) - 1]]
+
     def _texts(self) -> List[str]:
-        """[str(Fraction(n, denominator)) for each numerator n]: a gcd for
-        each coefficient that may reduce, none for the others or when the
-        denominator is 1."""
-        numerators, den = self.numerators, self.denominator
-        if den == 1:
-            return list(map(str, numerators))
-        tail = f"/{den}"
-        texts = [f"{n}{tail}" for n in numerators]
-        for d in compress(range(len(texts)), self._reducible):
-            texts[d] = _fraction_text(numerators[d], den)
-        return texts
+        return self._json_body().split('", "')
 
     def __str__(self) -> str:
         numerators, texts = self.numerators, iter(self._texts())
@@ -153,7 +170,47 @@ class QSeries:
         """json.dumps(self.to_json_dict(), sort_keys=True), joined from the
         coefficient texts: they hold only digits, '-' and '/', which JSON
         never escapes."""
-        return '{"coeffs": ["' + '", "'.join(self._texts()) + f'"], "order": {self.order}}}'
+        return '{"coeffs": ["' + self._json_body() + f'"], "order": {self.order}}}'
+
+
+class _KeptTexts:
+    """The texts of one genus's Eisenstein coefficients q^0, q^1, ...
+    printed so far, in lowest terms: body joins them with '", "' (the body
+    of a JSON array of strings, quotes stripped at both ends), and the text
+    of q^d ends at ends[d] in body.  digits is the most decimal digits of
+    any int formatted for them, unreduced numerators and the denominator
+    included."""
+
+    __slots__ = ("body", "ends", "digits")
+
+    def __init__(self):
+        self.body, self.ends, self.digits = "", array("q"), 0
+
+    def extend(self, numerators: Sequence[int], den: int, reducible: bytes) -> None:
+        """Append the texts of the next coefficients, numerators[i] / den."""
+        texts = _coefficient_texts(numerators, den, reducible)
+        head = f'{self.body}", "' if self.ends else ""
+        # each text ends its length plus the 4-character separator after
+        # the one before it; the first ends its length after head
+        sizes = [len(text) + 4 for text in texts]
+        sizes[0] += len(head) - 4
+        self.body = head + '", "'.join(texts)
+        self.ends.extend(accumulate(sizes))
+        widest = max(max(numerators), -min(numerators), den)
+        self.digits = max(self.digits, len(str(widest)))
+
+
+def _coefficient_texts(numerators: Sequence[int], den: int, reducible: bytes) -> List[str]:
+    """[str(Fraction(n, den)) for each numerator n], den > 0, where
+    reducible[i] is 0 only if gcd(numerators[i], den) == 1: a gcd for each
+    coefficient that may reduce, none for the others or when den is 1."""
+    if den == 1:
+        return list(map(str, numerators))
+    tail = f"/{den}"
+    texts = [f"{n}{tail}" for n in numerators]
+    for d in compress(range(len(texts)), reducible):
+        texts[d] = _fraction_text(numerators[d], den)
+    return texts
 
 
 def _fraction_text(n: int, den: int) -> str:
@@ -303,9 +360,12 @@ def eisenstein_series(g: int, D: int) -> QSeries:
 
     Each genus keeps the numerators and flags of the longest series asked
     so far; a D no longer than that reads their prefix, and a longer D
-    rebuilds them for exactly D.  clear_caches() empties them.  D above
-    EISENSTEIN_ORDER_CAP is refused before any table is built, so the cap
-    bounds the kept series too.
+    rebuilds them for exactly D.  Each genus also keeps the texts of the
+    coefficients printed so far, which every series of the genus shares:
+    printing a series formats only the coefficients past them, and a
+    rebuild keeps them.  A series that is never printed formats nothing.
+    clear_caches() empties them.  D above EISENSTEIN_ORDER_CAP is refused
+    before any table is built, so the cap bounds the kept series too.
     """
     g, D = as_int(g), as_int(D)
     if g < 2 or D < 0:
@@ -326,13 +386,14 @@ def eisenstein_series(g: int, D: int) -> QSeries:
             for r in prime_powers(D):
                 if gcd(sigmas[r - 1], q) > 1:
                     reducible[r::r] = b"\x01" * (D // r)
-        kept = _kept_series[g] = (q, *(p * s for s in sigmas)), bytes(reducible)
-    numerators, reducible = kept
-    return QSeries._lowest(numerators[: D + 1], numerators[0], reducible[: D + 1])
+        texts = _KeptTexts() if kept is None else kept[2]
+        kept = _kept_series[g] = (q, *(p * s for s in sigmas)), bytes(reducible), texts
+    numerators, reducible, texts = kept
+    return QSeries._lowest(numerators[: D + 1], numerators[0], reducible[: D + 1], texts)
 
 
 def clear_caches() -> None:
-    """Empty the Eisenstein series kept per genus."""
+    """Empty the Eisenstein series, and their texts, kept per genus."""
     _kept_series.clear()
 
 

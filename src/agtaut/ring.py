@@ -73,6 +73,12 @@ ORACLE_GENUS_CAP = 8
 # and 3.9-4.6 s and 135 MB at genus 16 (Python 3.11, one Xeon core).
 PAIRING_GENUS_CAP = 15
 
+# A LambdaPolynomial's exponent vectors are g long, and so is the rewrite
+# table behind a normal form: ring-reduce of lambda_1 takes 0.021 s at genus
+# 10^4 and 2.4 s at 10^5, nearly all in the table's packed mask, and had not
+# finished after 100 s at 10^6 (Python 3.11, through cli.run).
+LAMBDA_GENUS_CAP = 10**4
+
 ExponentVector = Tuple[int, ...]
 IndexTuple = Tuple[int, ...]
 
@@ -156,14 +162,27 @@ class _SparseTerms:
         return not self.terms
 
 
+def _lambda_genus(g: int) -> int:
+    """g itself; a ValueError when it is above LAMBDA_GENUS_CAP."""
+    g = as_int(g)
+    if g > LAMBDA_GENUS_CAP:
+        raise ValueError(f"lambda polynomial genus {g} exceeds cap {LAMBDA_GENUS_CAP}")
+    return g
+
+
 class LambdaPolynomial(_SparseTerms):
     """Element of Q[lambda_1, ..., lambda_g], sparse over exponent vectors.
 
     Exponent vectors have length g; entry i-1 is the exponent of lambda_i.
     Generators with index > g do not exist and are rejected at construction.
+    A genus above LAMBDA_GENUS_CAP is refused before any exponent vector is
+    built.
     """
 
     __slots__ = ()
+
+    def __init__(self, g: int, terms: dict):
+        super().__init__(_lambda_genus(g), terms)
 
     def _check_key(self, exps: ExponentVector) -> None:
         if len(exps) != self.g:
@@ -177,13 +196,13 @@ class LambdaPolynomial(_SparseTerms):
 
     @classmethod
     def one(cls, g: int) -> "LambdaPolynomial":
-        return cls(g, {(0,) * g: 1})
+        return cls(g, {(0,) * _lambda_genus(g): 1})
 
     @classmethod
     def monomial(cls, g: int, indices: Iterable[int], coeff=1) -> "LambdaPolynomial":
         """Product of lambda_i over an index multiset (repeats allowed); an
         index that is not an int (a bool, a float) is a TypeError."""
-        indices = tuple(map(as_int, indices))
+        g, indices = _lambda_genus(g), tuple(map(as_int, indices))
         for i in indices:
             if not 1 <= i <= g:
                 raise ValueError(f"lambda_{i} does not exist in genus {g}")
@@ -244,9 +263,10 @@ def relation(k: int, g: int) -> LambdaPolynomial:
         lambda_k^2 - 2 sum_{m=1}^{min(k, g-1-k)} (-1)^(m+1)
                          lambda_{k-m} lambda_{k+m}.
 
-    k and g must be ints (a bool is a TypeError).
+    k and g must be ints (a bool is a TypeError), and g at most
+    LAMBDA_GENUS_CAP.
     """
-    k, g = as_int(k), as_int(g)
+    k, g = as_int(k), _lambda_genus(g)
     if not 1 <= k <= g - 1:
         raise ValueError(f"relation index k={k} out of range [1, {g - 1}]")
     terms = {_exponents(g, (k, k)): 1}
@@ -486,9 +506,10 @@ def _exponents(g: int, indices: Iterable[int]) -> ExponentVector:
 
 def multiply(a: TautClass, b: TautClass) -> TautClass:
     """Ring product: multiply the polynomial lifts, then reduce.  An operand
-    that is not a TautClass is a TypeError."""
+    that is not a TautClass is a TypeError, and a genus above
+    LAMBDA_GENUS_CAP a ValueError, raised before any lift is built."""
     _expect(TautClass, a)._check_genus(_expect(TautClass, b))
-    g = a.g
+    g = _lambda_genus(a.g)
     lifts = (
         (_exponents(g, s + t), cs * ct)
         for s, cs in a.terms.items()

@@ -198,6 +198,16 @@ DISPATCHED = [shlex.split(c) + j for c, _, _ in GOLDEN for j in ([], ["--json"])
 DISPATCHED += [shlex.split(c) for c in USAGE_ERRORS] + [["verify", "--list"]]
 _rng = random.Random(36)
 DISPATCHED += [v for c, _, _ in GOLDEN for v in _variants(shlex.split(c), _rng)]
+# --flag=value: read directly for an exact flag, whatever its value but
+# "--"; the switch and an abbreviation go to argparse
+DISPATCHED += [
+    ["gw-predict", "--g", "2", "--d", "1", "--integral=-2/88"],
+    ["gw-predict", "--g", "2", "--d", "1", "--int=1/2"],
+    ["taut-nl", "--g=", "--delta", "2"],
+    ["taut-nl", "--g=-3", "--delta", "2"],
+    ["taut-nl", "--g", "2", "--delta=--"],
+    ["sp-order", "--g", "1", "--n", "2", "--json=1"],
+]
 
 
 def _top_level_parse(argv):
@@ -222,4 +232,6 @@ def test_subcommand_dispatch_matches_the_top_level_parser(argv, monkeypatch):
 def test_a_canonical_query_builds_no_parser():
     cli._parser.cache_clear()
     assert run(["sp-order", "--g", "1", "--n", "2"], out=io.StringIO()) == 0
+    query = ["gw-predict", "--g", "2", "--d", "3", "--i", "1", "--integral=-2/88"]
+    assert run(query, out=io.StringIO()) == 0
     assert cli._parser.cache_info().currsize == 0

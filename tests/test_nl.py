@@ -1,5 +1,7 @@
+import io
 import json
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +11,7 @@ import agtaut
 import displayed_forms
 from agtaut import arith, degrees, nl
 from agtaut.arith import bernoulli, factorize, sigma
+from agtaut.cli import run
 from agtaut.degrees import deg_phi
 from agtaut.linalg import identity, invert, mat_mul
 from agtaut.nl import (
@@ -401,16 +404,19 @@ def test_eisenstein_prefix_of_a_kept_series_equals_the_cold_series():
     # every genus up to 16 at several orders, and g = 6 where the gcd branch
     # flags q^1381; each asked cold, then after each other in increasing,
     # decreasing and shuffled order, so a series is read as a prefix of a
-    # longer kept one or rebuilds it
+    # longer kept one or rebuilds it, and its texts are read from those
+    # printed before or formatted past them; and g = 6 grown one order at
+    # a time to 40 before 1500 and 1381
     requests = [(g, D) for g in range(2, 17) for D in (0, 1, 2, 5, 40, 200)]
     requests += [(6, 1381), (6, 1500)]
+    growing = [(6, D) for D in range(1, 41)] + [(6, 1500), (6, 1381)]
     cold = {}
-    for g, D in requests:
+    for g, D in requests + growing:
         agtaut.clear_caches()
         cold[g, D] = eisenstein_state(eisenstein_series(g, D))
     shuffled = random.Random(38).sample(requests, len(requests))
     by_order = sorted(requests, key=lambda request: request[1])
-    for ordering in (by_order, by_order[::-1], shuffled):
+    for ordering in (by_order, by_order[::-1], shuffled, growing):
         agtaut.clear_caches()
         returned = []
         for g, D in ordering:
@@ -419,10 +425,65 @@ def test_eisenstein_prefix_of_a_kept_series_equals_the_cold_series():
             returned.append((series, cold[g, D]))
         # a longer series asked later leaves those returned before unchanged
         assert all(eisenstein_state(series) == state for series, state in returned)
+        # series built before any is printed, then printed last first: the
+        # shorter ones read texts that a rebuilt record's series formatted
+        agtaut.clear_caches()
+        built = [(eisenstein_series(g, D), cold[g, D]) for g, D in ordering]
+        assert all(eisenstein_state(series) == state for series, state in built[::-1])
     assert len(nl._kept_series[6][0]) == 1501
     # with series kept, the Bernoulli cap still refuses order 0
     with pytest.raises(ValueError, match="Bernoulli index 2064 exceeds cap 2062"):
         eisenstein_series(1032, 0)
+
+
+def test_eisenstein_coefficient_is_formatted_once(monkeypatch):
+    # after the longest series of a genus is printed, every shorter one
+    # reads its text and JSON from the kept texts
+    calls, format_texts = [], nl._coefficient_texts
+    monkeypatch.setattr(
+        nl, "_coefficient_texts", lambda *args: calls.append(args) or format_texts(*args)
+    )
+    agtaut.clear_caches()
+    assert run(["eisenstein", "--g", "16", "--order", "1500"], out=io.StringIO()) == 0
+    assert [len(numerators) for numerators, _, _ in calls] == [1501]
+    for order in range(1, 1501):
+        for as_json in ([], ["--json"]):
+            argv = ["eisenstein", "--g", "16", "--order", str(order)] + as_json
+            assert run(argv, out=io.StringIO()) == 0
+    assert len(calls) == 1
+    # a longer order formats only the coefficients past the kept texts
+    cold = eisenstein_state(eisenstein_series(16, 1600))
+    assert [len(numerators) for numerators, _, _ in calls[1:]] == [100]
+    agtaut.clear_caches()
+    assert eisenstein_state(eisenstein_series(16, 1600)) == cold
+
+
+def test_eisenstein_kept_texts_past_the_digit_limit_are_not_read():
+    # texts printed with the limit lifted hold ints of more than 640
+    # digits, Python's least limit: under it, printing raises Python's
+    # error as a cold series does, and a series whose own ints fit prints
+    # the cold bytes
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        nl.clear_caches()
+        short = eisenstein_state(eisenstein_series(200, 20))
+        with pytest.raises(ValueError) as cold_error:
+            str(eisenstein_series(200, 100))
+        sys.set_int_max_str_digits(0)
+        nl.clear_caches()
+        lifted = eisenstein_state(eisenstein_series(200, 100))
+        assert nl._kept_series[200][2].digits > 640
+        sys.set_int_max_str_digits(640)
+        for printing in (str, QSeries.json_text, QSeries.to_json_dict):
+            with pytest.raises(ValueError) as error:
+                printing(eisenstein_series(200, 100))
+            assert str(error.value) == str(cold_error.value)
+        assert eisenstein_state(eisenstein_series(200, 20)) == short
+        sys.set_int_max_str_digits(0)
+        assert eisenstein_state(eisenstein_series(200, 100)) == lifted
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_qseries_keeps_the_least_common_denominator():

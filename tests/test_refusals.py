@@ -49,6 +49,33 @@ def test_out_of_range_argument_is_refused(func, args):
         func(*args)
 
 
+def test_lambda_genus_above_the_cap_is_refused(monkeypatch):
+    # ring-reduce --g 1000000000 --indices 1 used to die with a MemoryError
+    # building its exponent vector; now no g-long vector, and no rewrite
+    # table, is built before the refusal
+    cap = ring.LAMBDA_GENUS_CAP
+    assert cap >= 100  # the largest genus the tests, demos, CI and benchmark ask for
+    above = ring.TautClass.one(cap + 1)
+    calls = [
+        (ring.LambdaPolynomial, (cap + 1, {})),
+        (ring.LambdaPolynomial.one, (cap + 1,)),
+        (ring.LambdaPolynomial.monomial, (cap + 1, (1,))),
+        (ring.relation, (1, cap + 1)),
+        (ring.multiply, (above, above)),
+    ]
+    monkeypatch.setattr(ring, "_exponents", None)
+    tables = ring._rewrite_table.cache_info().currsize
+    for func, args in calls:
+        with pytest.raises(ValueError, match=f"^lambda polynomial genus {cap + 1} exceeds cap {cap}$"):
+            func(*args)
+    assert ring._rewrite_table.cache_info().currsize == tables
+    err = io.StringIO()
+    assert run(["ring-reduce", "--g", "1000000000", "--indices", "1"], out=io.StringIO(), err=err) == 1
+    assert err.getvalue() == f"error: lambda polynomial genus 1000000000 exceeds cap {cap}\n"
+    monkeypatch.undo()
+    assert ring.LambdaPolynomial.one(cap).g == cap
+
+
 @pytest.mark.parametrize("text", [5, None, b"NL(2)"], ids=repr)
 def test_projection_text_that_is_not_a_str_is_refused(text):
     with pytest.raises(TypeError, match=f"got {type(text).__name__}$"):
@@ -153,6 +180,7 @@ DIGIT_LIMIT_ARGVS = [
     ["taut-nl", "--g", "584", "--delta", "1000,1000000"],
     ["gw-predict", "--g", "780", "--d", "1"],
     ["gw-predict", "--g", "300", "--d", "1000000"],
+    ["eisenstein", "--g", "700", "--order", "1500"],
 ]
 
 
